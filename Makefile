@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-snapshot bench-perf bench-gated plan-smoke bench-history matrix matrix-smoke
+.PHONY: all build test vet lint bench bench-snapshot bench-perf bench-gated bench-history matrix matrix-smoke
 
 all: vet build test
 
@@ -8,7 +8,7 @@ build:
 	$(GO) build ./...
 
 # -race gates the parallel search worker pool (internal/search), the repo's
-# only goroutines.
+# only production goroutines.
 test:
 	$(GO) test -race ./...
 
@@ -65,13 +65,6 @@ matrix:
 
 matrix-smoke:
 	$(GO) run ./cmd/gcsbench -matrix -smoke -json > BENCH_matrix.json
-
-# Distributed-search pricing smoke: plan the committed example campaign
-# without executing a single engine step (the CI test job runs this — it
-# proves the spec parses, the move-set arithmetic holds, and the cost model
-# loads or degrades cleanly).
-plan-smoke:
-	$(GO) run ./cmd/gcssearch plan -spec examples/campaign_e13_long.json -workers 4
 
 # Append this commit's gated-benchmark medians to the dev/bench/data.js
 # history (github-action-benchmark format). CI runs this on every push to

@@ -6,8 +6,8 @@ import "gcs/internal/obs"
 // hot path increments with single atomic adds — no allocation, no lock, no
 // name lookup — so an instrumented engine stays inside the zero-alloc
 // budgets pinned in alloc_test.go. One Metrics value may be shared by many
-// engines (a worker's whole evaluation fleet aggregates into one registry);
-// forks inherit their parent's Metrics.
+// engines (every engine of a search aggregates into one registry); forks
+// inherit their parent's Metrics.
 type Metrics struct {
 	// Steps counts dispatched events (one per Step/RunUntil dispatch).
 	Steps *obs.Counter
@@ -45,16 +45,16 @@ type Metrics struct {
 // the same registry return counters backed by the same instruments.
 func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
-		Steps:            r.Counter("gcs_engine_steps_total", "engine events dispatched"),
-		Recycled:         r.Counter("gcs_engine_events_recycled_total", "event slab slots recycled through the free list"),
-		Forks:            r.Counter("gcs_engine_forks_total", "engine forks taken"),
-		ScheduleSwaps:    r.Counter("gcs_engine_schedule_swaps_total", "mid-run schedule swaps re-deriving queued events"),
-		ClockCacheHits:   r.Counter("gcs_engine_clock_cache_hits_total", "compiled logical-clock cache hits"),
-		ClockCacheMisses: r.Counter("gcs_engine_clock_cache_misses_total", "compiled logical-clock cache misses"),
-		FixedLaneRuns:    r.Counter("gcs_engine_fixed_lane_runs_total", "engines constructed on the fixed-point tick lane"),
-		RatLaneRuns:      r.Counter("gcs_engine_rat_lane_runs_total", "engines constructed on the exact-rational lane"),
-		FixedFallbacks:   r.Counter("gcs_engine_fixed_fallbacks_total", "off-grid values computed in rational arithmetic by fixed-lane engines"),
-		Dropped:          r.Counter("gcs_engine_msgs_dropped_total", "messages dropped at send by the adversary's fault layer"),
+		Steps:            r.Counter("gcs_engine_steps_total"),
+		Recycled:         r.Counter("gcs_engine_events_recycled_total"),
+		Forks:            r.Counter("gcs_engine_forks_total"),
+		ScheduleSwaps:    r.Counter("gcs_engine_schedule_swaps_total"),
+		ClockCacheHits:   r.Counter("gcs_engine_clock_cache_hits_total"),
+		ClockCacheMisses: r.Counter("gcs_engine_clock_cache_misses_total"),
+		FixedLaneRuns:    r.Counter("gcs_engine_fixed_lane_runs_total"),
+		RatLaneRuns:      r.Counter("gcs_engine_rat_lane_runs_total"),
+		FixedFallbacks:   r.Counter("gcs_engine_fixed_fallbacks_total"),
+		Dropped:          r.Counter("gcs_engine_msgs_dropped_total"),
 	}
 }
 

@@ -23,11 +23,15 @@
 // BenchmarkEngineForkGradient (the fork-only unit on a wide gradient line,
 // gating the copy-on-write clone discipline), BenchmarkAdaptiveRun (the E14
 // adaptive-adversary path), and BenchmarkSearchPrefixCached /
-// BenchmarkSearchEndToEnd (the E13 search workload) — so a local `gcsbench
+// BenchmarkSearchEndToEnd / BenchmarkSearchRateWindows (the E13 search
+// workload, the last with windowed rate surgery) — so a local `gcsbench
 // -perf` and the CI gate watch the same hot paths. Measurements carry the
 // arithmetic lane their engines ran on ("fixed" or "rat"), and the snapshot
-// includes a rat-lane twin of the cached search, so the campaign planner can
-// price both lanes from measurement rather than guesswork.
+// includes a rat-lane twin of the cached search. The twin answers the lane
+// question for search: whether the fixed-point lane, which pays off on the
+// E12 stream, also pays off there. In the committed BENCH_perf.json it does
+// not — SearchPrefixCached/E13 runs at 1613 ns/step on the fixed lane and
+// 1476 on rat.
 package perf
 
 import (
@@ -53,7 +57,7 @@ const stepsUnit = "steps/op"
 // testing.Benchmark. Bench must call b.ReportAllocs and report the number of
 // engine events dispatched per iteration as the "steps/op" metric. Lane
 // records the arithmetic lane the workload's engines run on ("fixed" or
-// "rat"), so snapshots price the two lanes separately.
+// "rat"), so snapshots compare the two lanes.
 type Workload struct {
 	Name  string
 	Lane  string

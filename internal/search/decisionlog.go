@@ -23,13 +23,17 @@
 // prefix indistinguishable). Each round groups the beam's delay mutants by
 // parent, replays the shared parent prefix once on a trunk engine, forks the
 // engine (Engine.Fork + tracker Clones) at each mutant's first diverging
-// decision, and evaluates only the suffix. Rate mutants change hardware
+// decision, and evaluates only the suffix. Windowed rate mutants fork the
+// same trunk at their window start; whole-run rate mutants change hardware
 // schedules from time zero, so they — and injected Seeds — are evaluated
 // from scratch. The fork-based evaluation is byte-identical to full
 // re-simulation (asserted by tests; DisablePrefixCache switches it off).
 // Candidates are evaluated concurrently by a bounded worker pool and reduced
 // by deterministic argmax with ties broken on candidate index, so the result
 // is byte-identical regardless of worker count or GOMAXPROCS.
+//
+// Search is a loop over a Campaign, the same search exposed one generation
+// at a time for callers that evaluate each generation in parts.
 package search
 
 import (
@@ -185,8 +189,7 @@ type decisionLogWire struct {
 }
 
 // MarshalJSON encodes the log as a replayable script: decisions in send
-// order with their exact rational times, delays, and bounds. This is the
-// wire format the distributed coordinator ships to workers, and a stable way
+// order with their exact rational times, delays, and bounds: a stable way
 // to save a found adversary for later replay.
 func (l *DecisionLog) MarshalJSON() ([]byte, error) {
 	w := decisionLogWire{Events: l.events, Decisions: make([]decisionWire, len(l.decisions))}

@@ -50,9 +50,8 @@ func captureLog(t *testing.T) *DecisionLog {
 	return log
 }
 
-// TestDecisionLogJSONRoundTrip: the wire format the coordinator ships to
-// workers must reproduce every decision — and the derived script — bit for
-// bit.
+// TestDecisionLogJSONRoundTrip: the serialized form must reproduce every
+// decision — and the derived script — bit for bit.
 func TestDecisionLogJSONRoundTrip(t *testing.T) {
 	log := captureLog(t)
 	data, err := json.Marshal(log)
@@ -94,9 +93,8 @@ func TestDecisionLogJSONRoundTrip(t *testing.T) {
 }
 
 // TestDecisionLogGolden pins the serialized form against a committed golden
-// file: the wire format is a compatibility surface (saved adversaries,
-// coordinator/worker exchanges), so accidental format drift must fail
-// loudly. Regenerate with `go test ./internal/search -run Golden -update`.
+// file: the format is a compatibility surface (saved adversaries), so
+// accidental format drift must fail loudly. Regenerate with `go test ./internal/search -run Golden -update`.
 func TestDecisionLogGolden(t *testing.T) {
 	log := captureLog(t)
 	var buf bytes.Buffer

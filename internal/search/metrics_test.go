@@ -62,8 +62,7 @@ func TestMetricsReconcileWithResult(t *testing.T) {
 	}
 
 	// The figures are live in the registry, not just on the struct.
-	snap := reg.Snapshot()
-	if ms, ok := snap.Get("gcs_search_engine_steps_total"); !ok || ms.Value != float64(got.EngineSteps) {
-		t.Fatalf("registry snapshot engine steps = %v (present=%v), want %d", ms.Value, ok, got.EngineSteps)
+	if v := reg.Counter("gcs_search_engine_steps_total").Value(); v != got.EngineSteps {
+		t.Fatalf("registry engine steps = %d, want %d", v, got.EngineSteps)
 	}
 }

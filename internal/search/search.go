@@ -153,10 +153,11 @@ type Options struct {
 
 	// Metrics, when non-nil, receives campaign-level accounting (generations
 	// merged, candidates evaluated, engine steps, prefix-cache savings) as
-	// shard results are absorbed. EngineMetrics, when non-nil, instruments
-	// every engine this search constructs (trunks, forks, from-scratch
-	// evaluations) so its step counters advance live during evaluation, not
-	// just at merge time. Neither affects the search outcome in any way.
+	// evaluated generations are absorbed. EngineMetrics, when non-nil,
+	// instruments every engine this search constructs (trunks, forks,
+	// from-scratch evaluations) so its step counters advance live during
+	// evaluation, not just at merge time. Neither affects the search outcome
+	// in any way.
 	Metrics       *Metrics
 	EngineMetrics *engine.Metrics
 
@@ -180,7 +181,7 @@ type Result struct {
 	// BestCandidate is the winning candidate's global discovery index (0 =
 	// the unmutated base). Candidate indices are assigned in enumeration
 	// order, so this — like every other field except EngineSteps — is
-	// identical however the evaluation was scheduled or sharded.
+	// identical however the evaluation was scheduled or partitioned.
 	BestCandidate int
 	// Witness is the pair and time attaining Best (skew objectives) or the
 	// pair with the worst margin (margin objective).
@@ -284,7 +285,7 @@ type candidate struct {
 	// event at/after divTime (Engine.SwapSchedule re-derives queued timer
 	// times from their hardware targets). schedOverride materializes the
 	// candidate's own set for from-scratch evaluation, dedup keys, and the
-	// wire form of evaluated candidates.
+	// beam entries of evaluated candidates.
 	swapNode  int
 	swapSched *clock.Schedule
 	divTime   rat.Rat
@@ -305,12 +306,10 @@ type evaluation struct {
 // the package comment for the algorithm; the result is deterministic in
 // Options alone.
 //
-// Search is the single-process driver of a Campaign: each generation is
-// evaluated as one whole-pool shard. The distributed coordinator
-// (internal/dist) drives the identical Campaign with the pool partitioned
-// across workers; the merge is argmax with ties broken on candidate index,
-// so both paths produce byte-identical Results (EngineSteps excepted — see
-// the Campaign doc).
+// Search drives a Campaign, evaluating each generation as one range on the
+// worker pool; the merge is argmax with ties broken on candidate index, so
+// any other partition of the generations yields the byte-identical Result
+// (EngineSteps excepted — see the Campaign doc).
 func Search(opt Options) (*Result, error) {
 	c, err := NewCampaign(opt)
 	if err != nil {
@@ -458,7 +457,7 @@ func applyRates(opt Options, override []*clock.Schedule, rates []rat.Rat) []*clo
 
 // schedOverride returns the candidate's own full schedule override — its
 // scheds with the rate-window swap applied — or nil when it has neither.
-// This is the candidate's identity (dedup keys, wire encoding of evaluated
+// This is the candidate's identity (dedup keys, beam entries of evaluated
 // candidates) and what a from-scratch evaluation runs under.
 func schedOverride(c candidate) []*clock.Schedule {
 	if c.swapSched == nil {

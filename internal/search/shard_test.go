@@ -1,51 +1,30 @@
 package search
 
 import (
-	"encoding/json"
 	"runtime"
 	"testing"
 )
 
-// runSharded executes opt as a distributed-style campaign: every generation
-// is exported in wire form, JSON round-tripped (exactly what the coordinator
-// ships to workers), split into `shards` contiguous ranges — empty ranges
-// included — evaluated independently via EvaluateShard, JSON round-tripped
-// again (the worker's response), and merged with Absorb.
+// runSharded executes opt as a partitioned campaign: every generation is
+// split into `shards` contiguous ranges — empty ranges included — evaluated
+// independently via EvaluateRange, and merged with one Absorb, with the
+// results handed over in reverse order.
 func runSharded(t *testing.T, opt Options, shards int) *Result {
 	t.Helper()
 	c, err := NewCampaign(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Shardable() {
-		t.Fatal("campaign unexpectedly not shardable")
-	}
 	for !c.Done() {
-		data, err := json.Marshal(c.Generation())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var gen Generation
-		if err := json.Unmarshal(data, &gen); err != nil {
-			t.Fatal(err)
-		}
-		n := len(gen.Candidates)
+		n := c.NumPending()
 		results := make([]*ShardResult, 0, shards)
-		for s := 0; s < shards; s++ {
+		for s := shards - 1; s >= 0; s-- {
 			lo, hi := s*n/shards, (s+1)*n/shards
-			sr, err := EvaluateShard(opt, &gen, lo, hi)
+			sr, err := c.EvaluateRange(lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
-			buf, err := json.Marshal(sr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			back := new(ShardResult)
-			if err := json.Unmarshal(buf, back); err != nil {
-				t.Fatal(err)
-			}
-			results = append(results, back)
+			results = append(results, sr)
 		}
 		if err := c.Absorb(results); err != nil {
 			t.Fatal(err)
@@ -66,9 +45,8 @@ func shardCounts() []int {
 }
 
 // TestShardLayoutInvariance: Search over any partition of the candidate pool
-// merges to the byte-identical single-pool result. The per-shard top-Beam
-// plus the baseline candidate is always a superset of the global top-Beam's
-// intersection with the shard, so the merge loses nothing — whatever the
+// merges to the byte-identical single-pool result. Absorb pools every
+// evaluation and reduces once, so the merge loses nothing — whatever the
 // layout, including empty shards.
 func TestShardLayoutInvariance(t *testing.T) {
 	opt := lineOpts(t, 4, 0)
@@ -83,7 +61,8 @@ func TestShardLayoutInvariance(t *testing.T) {
 }
 
 // TestShardLayoutInvarianceWithRateWindows: windowed rate surgery carries
-// full schedule overrides across the wire; they must round-trip exactly.
+// full schedule overrides into the beam; every partition must enumerate the
+// same mutations from them.
 func TestShardLayoutInvarianceWithRateWindows(t *testing.T) {
 	mk := func() Options {
 		opt := lineOpts(t, 3, 0)
@@ -141,24 +120,16 @@ func TestShardCandidateStepsInvariant(t *testing.T) {
 	}
 }
 
-// TestEvaluateShardRejectsSerialBase: a stateful, non-cloneable Base cannot
-// be sharded — the serial fallback needs the one shared instance to see
-// every run — and EvaluateShard must refuse rather than silently diverge.
-func TestEvaluateShardRejectsSerialBase(t *testing.T) {
+// TestSerialBaseCampaign: a stateful, non-cloneable Base runs the serial
+// fallback — the one shared instance sees every run in candidate order —
+// and the whole-pool campaign loop completes with a note saying so.
+func TestSerialBaseCampaign(t *testing.T) {
 	opt := lineOpts(t, 3, 0)
 	opt.Base = &pollingAdversary{}
 	c, err := NewCampaign(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Shardable() {
-		t.Fatal("non-cloneable stateful base reported shardable")
-	}
-	if _, err := EvaluateShard(opt, c.Generation(), 0, c.NumPending()); err == nil {
-		t.Fatal("EvaluateShard accepted a serial-only campaign")
-	}
-	// The local whole-pool path still works — that is the coordinator's
-	// degradation for unshardable campaigns.
 	for !c.Done() {
 		sr, err := c.EvaluateRange(0, c.NumPending())
 		if err != nil {
@@ -177,9 +148,9 @@ func TestEvaluateShardRejectsSerialBase(t *testing.T) {
 	}
 }
 
-// TestAbsorbRejectsIncompleteCoverage: shard results must cover the pending
-// generation exactly; losing a shard is a coordinator bug (or a retry), not
-// a silent hole in the pool.
+// TestAbsorbRejectsIncompleteCoverage: shard results must evaluate every
+// pending candidate exactly once; a missing range or a range handed over
+// twice is a caller bug, not a silent hole in the pool.
 func TestAbsorbRejectsIncompleteCoverage(t *testing.T) {
 	opt := lineOpts(t, 3, 0)
 	c, err := NewCampaign(opt)
@@ -206,8 +177,21 @@ func TestAbsorbRejectsIncompleteCoverage(t *testing.T) {
 	if err := c.Absorb([]*ShardResult{partial}); err == nil {
 		t.Fatal("Absorb accepted partial coverage")
 	}
-	// Full coverage after the rejected partial absorb still works: the
-	// campaign state must be untouched by the failed merge.
+	// Overlapping ranges whose sizes add up to the pool: a prefix is
+	// evaluated twice and the tail never.
+	head, err := c.EvaluateRange(0, n/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlap, err := c.EvaluateRange(0, n-n/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Absorb([]*ShardResult{head, overlap}); err == nil {
+		t.Fatal("Absorb accepted overlapping shards")
+	}
+	// Full coverage after the rejected absorbs still works: the campaign
+	// state must be untouched by the failed merges.
 	for !c.Done() {
 		full, err := c.EvaluateRange(0, c.NumPending())
 		if err != nil {
