@@ -47,11 +47,13 @@ bench-snapshot:
 bench-perf:
 	$(GO) run ./cmd/gcsbench -perf > BENCH_perf.json
 
-# The exact benchmark command the CI perf-gate job runs on the PR head and
-# on the merge base; pipe each into a file and compare with
-# `go run ./cmd/perfgate -base base.txt -head head.txt` (and/or benchstat).
+# The gated benchmark set, the one copy of its command: the CI perf-gate job
+# runs `make -s bench-gated` on the PR head and on the merge base, and
+# bench-history below runs it too. Pipe each run into a file and compare
+# with `go run ./cmd/perfgate -base base.txt -head head.txt` (and/or
+# benchstat); -s keeps make's command echo out of the output.
 bench-gated:
-	$(GO) test -bench 'EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows' \
+	$(GO) test -bench 'EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows|CampaignAdvance' \
 		-benchmem -count 6 -run '^$$' ./...
 
 # Scenario matrix (internal/scenario): generated topology families × fault
@@ -71,8 +73,7 @@ matrix-smoke:
 # main; run it locally only to inspect the mechanism — local timings do not
 # belong in the shared curve.
 bench-history:
-	$(GO) test -bench 'EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows' \
-		-benchmem -count 6 -run '^$$' ./... > bench-head.txt
+	$(MAKE) -s bench-gated > bench-head.txt
 	$(GO) run ./cmd/perfgate -append -head bench-head.txt \
 		-history dev/bench/data.js \
 		-commit "$$(git rev-parse HEAD)" \

@@ -4,9 +4,8 @@
 //
 // Usage:
 //
-//	go test -bench 'EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows' \
-//	    -benchmem -count 6 -run '^$' ./... > head.txt     # on the PR head
-//	git checkout <merge-base> && go test ... > base.txt   # same command
+//	make -s bench-gated > head.txt                             # on the PR head
+//	git checkout <merge-base> && make -s bench-gated > base.txt
 //	perfgate -base base.txt -head head.txt
 //
 // Each gated benchmark is aggregated by the median of its -count
@@ -51,7 +50,7 @@ import (
 func main() {
 	base := flag.String("base", "", "bench output of the comparison baseline (required unless -append)")
 	head := flag.String("head", "", "bench output of the candidate revision (required)")
-	match := flag.String("match", "EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows",
+	match := flag.String("match", "EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows|CampaignAdvance",
 		"regexp of benchmark names to gate (empty gates everything)")
 	maxNs := flag.Float64("max-ns", 0.30, "tolerated relative ns/op regression")
 	maxAllocs := flag.Float64("max-allocs", 0.20, "tolerated relative allocs/op regression")

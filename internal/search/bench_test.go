@@ -19,7 +19,7 @@ func benchCandidates(b *testing.B, opt Options) []candidate {
 	if _, err := normalize(&opt); err != nil {
 		b.Fatal(err)
 	}
-	seedEval := evaluate(opt, candidate{rates: make([]rat.Rat, opt.Net.N())})
+	seedEval := evaluate(opt, candidate{rates: make([]rat.Rat, opt.Net.N())}, nil)
 	if seedEval.err != nil {
 		b.Fatal(seedEval.err)
 	}
@@ -130,4 +130,46 @@ func benchSearch(b *testing.B, opt Options) {
 		b.ReportMetric(float64(res.CandidateSteps)/float64(res.Evaluated), "resim-steps/cand")
 	}
 	_ = sink
+}
+
+// BenchmarkCampaignAdvance measures the enumeration-and-dedupe layer of the
+// search on its own: one mutation generation enumerated off a warmed beam —
+// the two-node d = 32 rate-window search after its first mutation round —
+// and filed into the seen set holding every earlier candidate. Nothing is
+// evaluated; restoring the seen set between iterations is not timed.
+func BenchmarkCampaignAdvance(b *testing.B) {
+	c, err := NewCampaign(searchBenchOpts(b, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var prior seenSet
+	for gen := 0; gen < 2; gen++ {
+		prior = cloneSeen(c.seen)
+		sr, err := c.EvaluateRange(0, c.NumPending())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Absorb([]*ShardResult{sr}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	var pending int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cc := *c
+		cc.seen, cc.mutRounds, cc.done = cloneSeen(prior), 0, false
+		b.StartTimer()
+		cc.advance()
+		pending = len(cc.pending)
+	}
+	b.ReportMetric(float64(pending), "candidates/op")
+}
+
+func cloneSeen(s seenSet) seenSet {
+	out := make(seenSet, len(s))
+	for h, ids := range s {
+		out[h] = append([]identity(nil), ids...)
+	}
+	return out
 }

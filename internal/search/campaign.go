@@ -46,7 +46,7 @@ type Campaign struct {
 	beam      []evaluation
 	best      evaluation
 	baseline  rat.Rat
-	seen      map[string]bool
+	seen      seenSet
 	nextID    int
 	mutRounds int // mutation generations enumerated (≤ opt.Rounds)
 	rounds    int // mutation generations evaluated (Result.Rounds)
@@ -70,14 +70,15 @@ func NewCampaign(opt Options) (*Campaign, error) {
 	for _, s := range opt.Seeds {
 		initial = append(initial, candidate{
 			id:     len(initial),
-			script: s.Script,
+			script: delayScript{delays: s.Script},
 			rates:  make([]rat.Rat, n),
 			scheds: s.Schedules,
 		})
 	}
-	seen := make(map[string]bool, len(initial))
-	for _, c := range initial {
-		seen[key(c)] = true
+	seen := make(seenSet, len(initial))
+	for i := range initial {
+		initial[i].hash = hashOf(initial[i])
+		seen.add(initial[i].hash, initial[i])
 	}
 	return &Campaign{
 		opt:     opt,
@@ -224,11 +225,9 @@ func (c *Campaign) advance() {
 	var cands []candidate
 	for _, parent := range c.beam {
 		for _, m := range mutations(c.opt, parent) {
-			k := key(m)
-			if c.seen[k] {
+			if !c.seen.add(m.hash, m) {
 				continue
 			}
-			c.seen[k] = true
 			m.id = c.nextID
 			c.nextID++
 			cands = append(cands, m)

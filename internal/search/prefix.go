@@ -47,6 +47,8 @@ import (
 
 	"gcs/internal/core"
 	"gcs/internal/engine"
+	"gcs/internal/rat"
+	"gcs/internal/trace"
 )
 
 // evalAll evaluates every candidate on a bounded worker pool and returns the
@@ -64,7 +66,7 @@ func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 	if opt.serialEval {
 		var dispatched uint64
 		for i := range cands {
-			results[i] = evaluate(opt, cands[i])
+			results[i] = evaluate(opt, cands[i], nil)
 			dispatched += results[i].cost
 		}
 		return results, dispatched
@@ -98,9 +100,25 @@ func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 		}()
 	}
 
+	// Each parent log's realized script is built once, here, and shared
+	// read-only by its trunk and by every candidate that replays it
+	// unedited; an edited script copies it on the worker that evaluates it.
+	realized := make(map[*DecisionLog]map[trace.MsgKey]rat.Rat)
+	realize := func(l *DecisionLog) map[trace.MsgKey]rat.Rat {
+		if l == nil {
+			return nil
+		}
+		m, ok := realized[l]
+		if !ok {
+			m = l.Script()
+			realized[l] = m
+		}
+		return m
+	}
 	for _, i := range scratch {
 		i := i
-		spawn(func() { results[i] = evaluate(opt, cands[i]) })
+		script := realize(cands[i].script.log)
+		spawn(func() { results[i] = evaluate(opt, cands[i], script) })
 	}
 	trunkSteps := make([]uint64, len(order))
 	for gi, plog := range order {
@@ -113,7 +131,8 @@ func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 			}
 			return idxs[a] < idxs[b]
 		})
-		spawn(func() { trunkSteps[gi] = runTrunk(opt, cands, idxs, plog, results, spawn) })
+		script := realize(plog)
+		spawn(func() { trunkSteps[gi] = runTrunk(opt, cands, idxs, plog, script, results, spawn) })
 	}
 	wg.Wait()
 
@@ -133,9 +152,9 @@ func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 // event at/after their mutated window's start, with the mutated schedule
 // swapped into the fork (and into the cloned tracker). Both orderings are
 // monotone, so the trunk only ever steps forward and is replayed at most
-// once per parent. It returns the number of events the trunk itself
-// dispatched.
-func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, results []evaluation, spawn func(func())) uint64 {
+// once per parent. script is plog's realized script, shared read-only. It
+// returns the number of events the trunk itself dispatched.
+func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, script map[trace.MsgKey]rat.Rat, results []evaluation, spawn func(func())) uint64 {
 	var delays, wins []int
 	for _, i := range idxs {
 		if cands[i].swapSched != nil {
@@ -174,7 +193,7 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, res
 	log := NewDecisionLog(opt.Net)
 	trunk, err := engine.New(opt.Net,
 		engine.WithProtocol(opt.Protocol),
-		engine.WithAdversary(engine.ScriptedAdversary{Delays: plog.Script(), Fallback: baseTail(opt)}),
+		engine.WithAdversary(engine.ScriptedAdversary{Delays: script, Fallback: baseTail(opt)}),
 		engine.WithSchedules(scheds),
 		engine.WithRho(opt.Rho),
 		engine.WithObservers(skew, log),
@@ -215,7 +234,7 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, res
 		if sc, ok := fork.Adversary().(engine.ScriptedAdversary); ok && sc.Fallback != nil {
 			tail = sc.Fallback
 		}
-		if err := fork.SetAdversary(engine.ScriptedAdversary{Delays: c.script, Fallback: tail}); err != nil {
+		if err := fork.SetAdversary(engine.ScriptedAdversary{Delays: c.script.materialize(script), Fallback: tail}); err != nil {
 			results[i] = evaluation{cand: c, err: err}
 			return
 		}
@@ -294,15 +313,16 @@ func finish(opt Options, cand candidate, eng *engine.Engine, skew *core.SkewTrac
 }
 
 // evaluate re-simulates one candidate from scratch and reads the objective
-// off the online trackers.
-func evaluate(opt Options, cand candidate) evaluation {
+// off the online trackers. realized is the candidate script's realized log
+// script when the caller already holds one (see delayScript.materialize).
+func evaluate(opt Options, cand candidate, realized map[trace.MsgKey]rat.Rat) evaluation {
 	scheds := effectiveScheds(opt, cand)
 	skew, err := core.NewSkewTracker(opt.Net, scheds)
 	if err != nil {
 		return evaluation{cand: cand, err: err}
 	}
 	log := NewDecisionLog(opt.Net)
-	adv := engine.ScriptedAdversary{Delays: cand.script, Fallback: baseTail(opt)}
+	adv := engine.ScriptedAdversary{Delays: cand.script.materialize(realized), Fallback: baseTail(opt)}
 	eng, err := engine.New(opt.Net,
 		engine.WithProtocol(opt.Protocol),
 		engine.WithAdversary(adv),

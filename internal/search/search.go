@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 	"strings"
@@ -262,10 +263,12 @@ func (r *Result) ReplaySchedules(base []*clock.Schedule) []*clock.Schedule {
 // candidate is one point of the search space: a delay script layered over
 // the base tail adversary, plus per-node constant-rate overrides (zero Rat =
 // base schedule) and, for seeds and windowed mutants, a full schedule
-// override. id is the global discovery index, the deterministic tie-breaker.
+// override. id is the global discovery index, the deterministic tie-breaker;
+// hash is the identity hash the campaign dedupes on (see identity).
 type candidate struct {
 	id     int
-	script map[trace.MsgKey]rat.Rat
+	hash   uint64
+	script delayScript
 	rates  []rat.Rat
 	scheds []*clock.Schedule // non-nil: full base-schedule override
 
@@ -284,11 +287,215 @@ type candidate struct {
 	// trunk runs under it — and the fork swaps swapSched in at the first
 	// event at/after divTime (Engine.SwapSchedule re-derives queued timer
 	// times from their hardware targets). schedOverride materializes the
-	// candidate's own set for from-scratch evaluation, dedup keys, and the
+	// candidate's own set for from-scratch evaluation, identities, and the
 	// beam entries of evaluated candidates.
 	swapNode  int
 	swapSched *clock.Schedule
 	divTime   rat.Rat
+}
+
+// delayScript is a candidate's delay script, held lazily. The base and the
+// seeds carry an explicit map; a mutant carries the realized decision log it
+// was enumerated from plus at most one replaced delay. No map is built until
+// the candidate is evaluated, so a mutant rejected as a duplicate costs none.
+type delayScript struct {
+	delays map[trace.MsgKey]rat.Rat // the explicit script when log is nil
+	log    *DecisionLog             // non-nil: log's realized decisions...
+	edited bool                     // ...with decision edit's delay...
+	edit   int
+	delay  rat.Rat // ...replaced by delay
+}
+
+// materialize returns the script as a ScriptedAdversary map. realized is
+// log.Script() when the caller already holds it, shared read-only, or nil:
+// an unedited script returns it as is, an edited one a private copy.
+func (s delayScript) materialize(realized map[trace.MsgKey]rat.Rat) map[trace.MsgKey]rat.Rat {
+	if s.log == nil {
+		return s.delays
+	}
+	if realized == nil {
+		realized = s.log.Script()
+	} else if s.edited {
+		realized = maps.Clone(realized)
+	}
+	if s.edited {
+		realized[s.log.decisions[s.edit].Key] = s.delay
+	}
+	return realized
+}
+
+// at returns the script's delay for decision i of its log.
+func (s delayScript) at(i int) rat.Rat {
+	if s.edited && s.edit == i {
+		return s.delay
+	}
+	return s.log.decisions[i].Delay
+}
+
+// equal reports whether two scripts hold the same entries. A log's message
+// keys are unique (per-pair sequence numbers), so scripts over one log can
+// differ only at their edits, and scripts over two logs that sent the same
+// messages in the same order compare position by position; neither builds a
+// map. Any other pair is materialized and compared entry by entry.
+func (s delayScript) equal(o delayScript) bool {
+	if s.log != nil && o.log != nil {
+		if s.log == o.log {
+			return (!s.edited || s.delay.Equal(o.at(s.edit))) &&
+				(!o.edited || o.delay.Equal(s.at(o.edit)))
+		}
+		a, b := s.log.decisions, o.log.decisions
+		if len(a) != len(b) {
+			return false
+		}
+		i := 0
+		for i < len(a) && a[i].Key == b[i].Key {
+			i++
+		}
+		if i == len(a) {
+			for i := range a {
+				if !s.at(i).Equal(o.at(i)) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+	a, b := s.materialize(nil), o.materialize(nil)
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || !v.Equal(w) {
+			return false
+		}
+	}
+	return true
+}
+
+// identity is what deduplication compares: a candidate's script content,
+// its rates by position, and its schedule override, where no override is
+// distinct from an override equal to the base schedules. It holds the script
+// lazily and never a materialized map.
+type identity struct {
+	script delayScript
+	rates  []rat.Rat
+	scheds []*clock.Schedule
+}
+
+// equal compares two identities exactly. A present override has one
+// schedule per node, so the length check also keeps it apart from none.
+func (a identity) equal(b identity) bool {
+	if len(a.rates) != len(b.rates) || len(a.scheds) != len(b.scheds) {
+		return false
+	}
+	for i := range a.rates {
+		if !a.rates[i].Equal(b.rates[i]) {
+			return false
+		}
+	}
+	for i := range a.scheds {
+		if a.scheds[i] != b.scheds[i] && !schedEqual(a.scheds[i], b.scheds[i]) {
+			return false
+		}
+	}
+	return a.script.equal(b.script)
+}
+
+// seenSet is a campaign's dedupe set: every candidate identity enumerated so
+// far, filed under its identity hash. The hash only narrows the search; two
+// identities are the same candidate only when they compare equal.
+type seenSet map[uint64][]identity
+
+// add files c under hash h and reports whether it is new, that is, whether
+// no equal identity is filed under h yet.
+func (s seenSet) add(h uint64, c candidate) bool {
+	id := identity{script: c.script, rates: c.rates, scheds: schedOverride(c)}
+	for _, o := range s[h] {
+		if o.equal(id) {
+			return false
+		}
+	}
+	s[h] = append(s[h], id)
+	return true
+}
+
+// Identity hashing. A script hashes to the wrapping sum of its entries'
+// hashes: the sum needs no canonical entry order, and a one-decision edit
+// updates it in O(1) by subtracting the old entry and adding the new one.
+// Rates and schedules hash by position. Equal identities hash equal because
+// every input is canonical: a Rat through its lowest-terms Num/Den (Key when
+// they overflow int64), a schedule through its rate segments.
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// fold extends hash h by v, order-sensitively.
+func fold(h, v uint64) uint64 { return mix64(h*0x9e3779b97f4a7c15 ^ v) }
+
+func ratHash(r rat.Rat) uint64 {
+	n, okN := r.Num()
+	d, okD := r.Den()
+	if okN && okD {
+		return fold(uint64(n), uint64(d))
+	}
+	h := uint64(0xcbf29ce484222325) // FNV-1a over the canonical string
+	for _, c := range []byte(r.Key()) {
+		h = (h ^ uint64(c)) * 0x100000001b3
+	}
+	return h
+}
+
+func entryHash(k trace.MsgKey, v rat.Rat) uint64 {
+	return fold(fold(fold(uint64(k.From), uint64(k.To)), k.Seq), ratHash(v))
+}
+
+// scriptHash sums a script's entry hashes.
+func scriptHash(s delayScript) uint64 {
+	var sum uint64
+	if s.log == nil {
+		for k, v := range s.delays {
+			sum += entryHash(k, v)
+		}
+		return sum
+	}
+	for _, d := range s.log.decisions {
+		sum += entryHash(d.Key, d.Delay)
+	}
+	if s.edited {
+		d := s.log.decisions[s.edit]
+		sum += entryHash(d.Key, s.delay) - entryHash(d.Key, d.Delay)
+	}
+	return sum
+}
+
+// clocksHash hashes the clock half of an identity: rates and the schedule
+// override. No override folds in length 0, apart from any present one.
+func clocksHash(rates []rat.Rat, scheds []*clock.Schedule) uint64 {
+	h := uint64(len(rates))
+	for _, r := range rates {
+		h = fold(h, ratHash(r))
+	}
+	h = fold(h, uint64(len(scheds)))
+	for _, s := range scheds {
+		segs := s.Rates()
+		h = fold(h, uint64(len(segs)))
+		for _, seg := range segs {
+			h = fold(fold(h, ratHash(seg.Rate)), ratHash(seg.At))
+		}
+	}
+	return h
+}
+
+// hashOf computes a candidate's identity hash from scratch, in O(script).
+// mutations derives the same value incrementally from the parent's sum.
+func hashOf(c candidate) uint64 {
+	return fold(scriptHash(c.script), clocksHash(c.rates, schedOverride(c)))
 }
 
 // evaluation is a candidate's simulated outcome.
@@ -457,8 +664,9 @@ func applyRates(opt Options, override []*clock.Schedule, rates []rat.Rat) []*clo
 
 // schedOverride returns the candidate's own full schedule override — its
 // scheds with the rate-window swap applied — or nil when it has neither.
-// This is the candidate's identity (dedup keys, beam entries of evaluated
-// candidates) and what a from-scratch evaluation runs under.
+// This is the schedule half of the candidate's identity, the beam entry's
+// schedules once it is evaluated, and what a from-scratch evaluation runs
+// under.
 func schedOverride(c candidate) []*clock.Schedule {
 	if c.swapSched == nil {
 		return c.scheds
@@ -480,14 +688,16 @@ var delaySnaps = []rat.Rat{{}, rat.MustFrac(1, 2), rat.FromInt(1)}
 // schedule agrees with its parent's before the window, so everything before
 // it is shared execution); whole-run rate flips change clocks from time zero
 // and evaluate from scratch.
+//
+// Each mutant carries its identity hash. The parent's script sum costs one
+// pass over its decision log; a delay mutant's sum is that sum with one entry
+// swapped, and rate and window mutants keep the parent's script unchanged.
 func mutations(opt Options, parent evaluation) []candidate {
 	var out []candidate
 
-	// Rate-change candidates never edit their script, so they can share one
-	// copy of the parent's realized decisions (read-only during replay).
-	var shared map[trace.MsgKey]rat.Rat
+	realized := delayScript{log: parent.log}
+	sum := scriptHash(realized)
 	if !opt.DisableRateMutations {
-		shared = parent.log.Script()
 		one := rat.FromInt(1)
 		rateChoices := []rat.Rat{one.Sub(opt.Rho), one, one.Add(opt.Rho)}
 		for node := 0; node < opt.Net.N(); node++ {
@@ -498,12 +708,18 @@ func mutations(opt Options, parent evaluation) []candidate {
 				}
 				rates := append([]rat.Rat(nil), parent.cand.rates...)
 				rates[node] = r
-				out = append(out, candidate{script: shared, rates: rates, scheds: parent.cand.scheds})
+				out = append(out, candidate{
+					hash:   fold(sum, clocksHash(rates, parent.cand.scheds)),
+					script: realized,
+					rates:  rates,
+					scheds: parent.cand.scheds,
+				})
 			}
 		}
-		out = append(out, windowMutations(opt, parent, shared)...)
+		out = append(out, windowMutations(opt, parent, realized, sum)...)
 	}
 
+	clocks := clocksHash(parent.cand.rates, parent.cand.scheds)
 	decs := parent.log.Decisions()
 	for _, idx := range sampleTail(len(decs), opt.DelayMutations, opt.MutateTail) {
 		d := decs[idx]
@@ -512,10 +728,9 @@ func mutations(opt Options, parent evaluation) []candidate {
 			if v.Equal(d.Delay) {
 				continue
 			}
-			script := parent.log.Script()
-			script[d.Key] = v
 			out = append(out, candidate{
-				script: script,
+				hash:   fold(sum-entryHash(d.Key, d.Delay)+entryHash(d.Key, v), clocks),
+				script: delayScript{log: parent.log, edited: true, edit: idx, delay: v},
 				rates:  parent.cand.rates,
 				scheds: parent.cand.scheds,
 				parent: parent.log,
@@ -535,7 +750,7 @@ func mutations(opt Options, parent evaluation) []candidate {
 // untouched, the mutant shares the parent's execution prefix up to the
 // window start: the candidate carries prefix lineage and the trunk
 // scheduler forks it there, swapping the schedule into the fork.
-func windowMutations(opt Options, parent evaluation, shared map[trace.MsgKey]rat.Rat) []candidate {
+func windowMutations(opt Options, parent evaluation, realized delayScript, sum uint64) []candidate {
 	if opt.RateWindows <= 0 || opt.Rho.Sign() <= 0 {
 		return nil
 	}
@@ -557,15 +772,17 @@ func windowMutations(opt Options, parent evaluation, shared map[trace.MsgKey]rat
 				if err != nil || schedEqual(ns, parentScheds[node]) {
 					continue
 				}
-				out = append(out, candidate{
-					script:    shared,
+				m := candidate{
+					script:    realized,
 					rates:     make([]rat.Rat, opt.Net.N()),
 					scheds:    parentScheds,
 					parent:    parent.log,
 					swapNode:  node,
 					swapSched: ns,
 					divTime:   from,
-				})
+				}
+				m.hash = fold(sum, clocksHash(m.rates, schedOverride(m)))
+				out = append(out, m)
 			}
 		}
 	}
@@ -654,30 +871,6 @@ func sampleIndices(n, k int) []int {
 		}
 	}
 	return out
-}
-
-// key canonicalizes a candidate for deduplication: rates plus sorted script
-// entries, plus the full schedule override when one is present.
-func key(c candidate) string {
-	var b strings.Builder
-	for i, r := range c.rates {
-		fmt.Fprintf(&b, "r%d=%s;", i, r.Key())
-	}
-	entries := make([]string, 0, len(c.script))
-	for k, v := range c.script {
-		entries = append(entries, fmt.Sprintf("%d>%d#%d=%s", k.From, k.To, k.Seq, v.Key()))
-	}
-	sort.Strings(entries)
-	b.WriteString(strings.Join(entries, ";"))
-	if scheds := schedOverride(c); scheds != nil {
-		for i, s := range scheds {
-			fmt.Fprintf(&b, ";S%d=", i)
-			for _, seg := range s.Rates() {
-				fmt.Fprintf(&b, "%s@%s,", seg.Rate.Key(), seg.At.Key())
-			}
-		}
-	}
-	return b.String()
 }
 
 // objectiveValue reads the configured objective off a flushed tracker.

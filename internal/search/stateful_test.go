@@ -145,7 +145,7 @@ func TestPrefixSchedulerEdgeCases(t *testing.T) {
 
 	// Capture a parent run: the unmutated base candidate.
 	parentCand := candidate{id: 0, rates: make([]rat.Rat, opt.Net.N())}
-	parent := evaluate(opt, parentCand)
+	parent := evaluate(opt, parentCand, nil)
 	if parent.err != nil {
 		t.Fatal(parent.err)
 	}
@@ -167,13 +167,13 @@ func TestPrefixSchedulerEdgeCases(t *testing.T) {
 	cands := []candidate{
 		// Diverges at the first captured decision: the trunk must not replay
 		// a single event before forking.
-		{script: mutate(0), rates: parentCand.rates, parent: parent.log, divIdx: 0, divEvent: decs[0].Event},
+		{script: delayScript{delays: mutate(0)}, rates: parentCand.rates, parent: parent.log, divIdx: 0, divEvent: decs[0].Event},
 		// Bogus divergence event 0 (before any dispatched event): must fork
 		// from the initial state and still match from-scratch.
-		{script: mutate(0), rates: parentCand.rates, parent: parent.log, divIdx: 0, divEvent: 0},
+		{script: delayScript{delays: mutate(0)}, rates: parentCand.rates, parent: parent.log, divIdx: 0, divEvent: 0},
 		// Identical to the parent — divergence never occurs; the fork just
 		// replays the parent's tail.
-		{script: parent.log.Script(), rates: parentCand.rates, parent: parent.log,
+		{script: delayScript{delays: parent.log.Script()}, rates: parentCand.rates, parent: parent.log,
 			divIdx: len(decs) - 1, divEvent: decs[len(decs)-1].Event},
 	}
 	for i := range cands {
