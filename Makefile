@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint bench bench-snapshot bench-perf bench-gated bench-history matrix matrix-smoke
+.PHONY: all build test vet lint repobench-check bench bench-snapshot bench-gated bench-history matrix matrix-smoke
 
 all: vet build test
 
@@ -22,6 +22,13 @@ lint:
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; fi
 	$(GO) vet ./...
 
+# repobench/ is its own module (replace gcs => ../), so the root
+# `go vet ./...` and `go test ./...` never compile it. This runs both inside
+# it, so an engine or clock API change that breaks the end-to-end benchmark
+# fails the checks. The CI repobench job runs this target.
+repobench-check:
+	cd repobench && $(GO) vet ./... && $(GO) test ./...
+
 # One pass over every benchmark: regenerates each experiment's headline
 # metric plus the streaming-vs-recorded engine comparison.
 bench:
@@ -38,14 +45,6 @@ bench-snapshot:
 	$(GO) run ./cmd/gcsbench -json > BENCH_suite.json
 	$(GO) run ./cmd/gcsbench -long -only E13 -json > BENCH_E13_long.json
 	$(GO) run ./cmd/gcsbench -long -only E14 -json > BENCH_E14_long.json
-
-# Timing snapshot of the gated perf workloads (ns/step + allocs/step for
-# the E12 streaming engine and the E13 search, via gcsbench -perf /
-# internal/perf). Machine-dependent — BENCH_perf.json records the perf
-# trajectory per-PR on the maintainer's machine and is NOT diff-checked in
-# CI (the CI perf-gate job compares head vs merge base instead).
-bench-perf:
-	$(GO) run ./cmd/gcsbench -perf > BENCH_perf.json
 
 # The gated benchmark set, the one copy of its command: the CI perf-gate job
 # runs `make -s bench-gated` on the PR head and on the merge base, and

@@ -64,6 +64,16 @@ func mergedBreaks(scheds []*clock.Schedule) []rateBreak {
 	return merged
 }
 
+// checkSchedules rejects a nil schedule with the engine's wording.
+func checkSchedules(scheds []*clock.Schedule) error {
+	for i, s := range scheds {
+		if s == nil {
+			return fmt.Errorf("core: nil schedule for node %d", i)
+		}
+	}
+	return nil
+}
+
 // SkewTracker is an engine observer maintaining the running global skew,
 // local (distance-1) skew, and per-pair worst skew of a streaming run. State
 // is O(nodes²) and independent of event count. Attach it with
@@ -125,6 +135,9 @@ func NewSkewTracker(net *network.Network, scheds []*clock.Schedule) (*SkewTracke
 	n := net.N()
 	if len(scheds) != n {
 		return nil, fmt.Errorf("core: %d schedules for %d nodes", len(scheds), n)
+	}
+	if err := checkSchedules(scheds); err != nil {
+		return nil, err
 	}
 	st := &SkewTracker{
 		net:      net,
@@ -483,6 +496,9 @@ type GradientTracker struct {
 // NewGradientTracker returns a tracker checking |L_i − L_j| <= f(d(i,j))
 // online.
 func NewGradientTracker(net *network.Network, scheds []*clock.Schedule, f GradientFunc) (*GradientTracker, error) {
+	if f == nil {
+		return nil, fmt.Errorf("core: nil gradient function")
+	}
 	st, err := NewSkewTracker(net, scheds)
 	if err != nil {
 		return nil, err
@@ -551,13 +567,15 @@ type ValidityTracker struct {
 }
 
 // NewValidityTracker returns a tracker for nodes with the given hardware
-// schedules.
+// schedules. A nil schedule is recorded as the tracker's error, which Err
+// reports; the tracker then checks nothing.
 func NewValidityTracker(scheds []*clock.Schedule) *ValidityTracker {
 	n := len(scheds)
 	vt := &ValidityTracker{
 		scheds:  scheds,
 		cur:     make([]trace.Decl, n),
 		leftVal: make([]rat.Rat, n),
+		err:     checkSchedules(scheds),
 	}
 	one := rat.FromInt(1)
 	for i := range vt.cur {

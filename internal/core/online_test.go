@@ -365,3 +365,38 @@ func TestTrackerMisuseSurfacesError(t *testing.T) {
 		t.Error("schedule count mismatch accepted")
 	}
 }
+
+// TestTrackerConstructionErrors: malformed tracker input fails with an
+// error naming the fault instead of panicking on first use.
+func TestTrackerConstructionErrors(t *testing.T) {
+	net, err := network.TwoNode(rat.FromInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := clock.Constant(rat.FromInt(1))
+	nilSched := []*clock.Schedule{one, nil}
+	f := LinearGradient(rat.FromInt(1), rat.FromInt(1))
+	cases := []struct {
+		name string
+		make func() error
+		want string
+	}{
+		{"skew nil network", func() error { _, err := NewSkewTracker(nil, []*clock.Schedule{one, one}); return err }, "core: nil network"},
+		{"skew nil schedule", func() error { _, err := NewSkewTracker(net, nilSched); return err }, "core: nil schedule for node 1"},
+		{"gradient nil schedule", func() error { _, err := NewGradientTracker(net, nilSched, f); return err }, "core: nil schedule for node 1"},
+		{"gradient nil function", func() error { _, err := NewGradientTracker(net, []*clock.Schedule{one, one}, nil); return err }, "core: nil gradient function"},
+		{"validity nil schedule", func() error {
+			vt := NewValidityTracker(nilSched)
+			vt.OnDeclare(trace.Decl{Node: 1, Real: rat.FromInt(1), Value: rat.FromInt(1), Mult: rat.FromInt(1), HW0: rat.FromInt(1)})
+			vt.Flush(rat.FromInt(2))
+			return vt.Err()
+		}, "core: nil schedule for node 1"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.make(); err == nil || err.Error() != tc.want {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -49,8 +49,10 @@ func TestHashAdversaryDelayRange(t *testing.T) {
 			eff = 16
 		}
 		for _, bound := range []rat.Rat{rat.FromInt(1), rat.FromInt(5), rat.MustFrac(3, 2)} {
+			distinct := map[string]bool{}
 			for seq := uint64(0); seq < 64; seq++ {
 				d := a.Delay(0, 1, seq, rat.Rat{}, bound)
+				distinct[d.String()] = true
 				if d.Sign() < 0 || d.Greater(bound) {
 					t.Fatalf("denom=%d bound=%s seq=%d: delay %s outside [0, %s]", denom, bound, seq, d, bound)
 				}
@@ -59,6 +61,9 @@ func TestHashAdversaryDelayRange(t *testing.T) {
 				if !steps.IsInt() {
 					t.Fatalf("denom=%d bound=%s seq=%d: delay %s not quantized to %d-ths", denom, bound, seq, d, eff)
 				}
+			}
+			if eff >= 8 && len(distinct) < 3 {
+				t.Fatalf("denom=%d bound=%s: only %d distinct delays in 64 draws", denom, bound, len(distinct))
 			}
 		}
 	}

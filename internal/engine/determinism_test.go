@@ -1,4 +1,4 @@
-package sim
+package engine
 
 import (
 	"testing"
@@ -26,14 +26,14 @@ func (c *chatterNode) Init(rt *Runtime) {
 
 func (c *chatterNode) OnTimer(rt *Runtime, _ int) {
 	for _, j := range rt.Neighbors() {
-		rt.Send(j, pingMsg{Val: rt.Logical()})
+		rt.Send(j, echoMsg{Val: rt.Logical()})
 	}
 	rt.SetLogical(rt.Logical(), c.mult)
 	rt.SetTimerAtHW(rt.HW().Add(c.period), 1)
 }
 
 func (c *chatterNode) OnMessage(rt *Runtime, from int, msg Message) {
-	m, ok := msg.(pingMsg)
+	m, ok := msg.(echoMsg)
 	if !ok {
 		return
 	}
@@ -42,7 +42,7 @@ func (c *chatterNode) OnMessage(rt *Runtime, from int, msg Message) {
 		if c.relay {
 			for _, j := range rt.Neighbors() {
 				if j != from {
-					rt.Send(j, pingMsg{Val: m.Val})
+					rt.Send(j, echoMsg{Val: m.Val})
 				}
 			}
 		}
@@ -169,8 +169,9 @@ func TestQuickLedgerConsistent(t *testing.T) {
 	}
 }
 
-// TestQuickHWMonotone checks that per-node hardware readings in the trace
-// are nondecreasing and consistent with the schedule.
+// TestQuickHWMonotone checks that each node's trace opens with its init
+// action and that its real times and hardware readings are nondecreasing,
+// the readings consistent with the schedule.
 func TestQuickHWMonotone(t *testing.T) {
 	f := func(seedRaw uint8) bool {
 		n := 4
@@ -195,15 +196,19 @@ func TestQuickHWMonotone(t *testing.T) {
 			return false
 		}
 		for i := 0; i < n; i++ {
-			var prev rat.Rat
-			for _, a := range exec.NodeActions(i) {
-				if a.HW.Less(prev) {
+			actions := exec.NodeActions(i)
+			if len(actions) == 0 || actions[0].Kind != trace.KindInit {
+				return false
+			}
+			var prevHW, prevReal rat.Rat
+			for _, a := range actions {
+				if a.HW.Less(prevHW) || a.Real.Less(prevReal) {
 					return false
 				}
 				if !exec.HWAt(i, a.Real).Equal(a.HW) {
 					return false
 				}
-				prev = a.HW
+				prevHW, prevReal = a.HW, a.Real
 			}
 		}
 		return true

@@ -1,3 +1,15 @@
+// Package perf is the machinery behind the CI perf-regression gate and the
+// benchmark history.
+//
+// Exact-metric snapshots (BENCH_*.json experiment tables) are deterministic
+// and diff-checked in CI, but they cannot see a throughput regression: a
+// change that doubles ns/step still produces identical tables. ParseBench +
+// Gate implement the gate (cmd/perfgate): parse two `go test -bench` outputs
+// (merge base vs head), aggregate each gated benchmark by median across
+// -count repetitions, and flag any benchmark whose ns/op or allocs/op
+// regressed past its threshold. History and Trend keep the per-commit
+// medians in the github-action-benchmark data.js format and flag a slow
+// drift that no single pairwise comparison crosses.
 package perf
 
 import (

@@ -141,29 +141,6 @@ func TestGateCompareMedian(t *testing.T) {
 	}
 }
 
-// TestMeasureEngineStream smoke-tests the in-process snapshot path on the
-// cheapest gated workload: per-step figures must derive consistently from
-// the per-op ones.
-func TestMeasureEngineStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing workload")
-	}
-	w, err := engineStreamWorkload(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Measure(w)
-	if m.Name != "EngineStream/dur=32" {
-		t.Fatalf("name = %q", m.Name)
-	}
-	if m.StepsPerOp <= 0 || m.NsPerOp <= 0 {
-		t.Fatalf("non-positive measurement: %+v", m)
-	}
-	if got, want := m.NsPerStep, m.NsPerOp/m.StepsPerOp; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("ns/step %v inconsistent with ns/op %v / steps/op %v", got, m.NsPerOp, m.StepsPerOp)
-	}
-}
-
 func keys(m map[string][]BenchLine) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gcs/internal/algorithms"
+	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
 	"gcs/internal/trace"
@@ -113,6 +114,16 @@ func BenchmarkSearchRateWindows(b *testing.B) {
 	opt := longE13Opts(b)
 	opt.RateWindows = 4
 	benchSearch(b, opt)
+}
+
+// BenchmarkSearchRatLane is BenchmarkSearchPrefixCached with every engine
+// forced onto exact rational arithmetic. Against its fixed-lane twin it
+// answers whether the fixed-point lane, which pays off on the E12 stream,
+// also pays off in search.
+func BenchmarkSearchRatLane(b *testing.B) {
+	engine.SetDefaultLane(engine.LaneRat)
+	defer engine.SetDefaultLane(engine.LaneAuto)
+	benchSearch(b, longE13Opts(b))
 }
 
 func benchSearch(b *testing.B, opt Options) {

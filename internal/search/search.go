@@ -12,7 +12,6 @@ import (
 	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/sim"
 	"gcs/internal/trace"
 )
 
@@ -79,7 +78,7 @@ type Seed struct {
 // Options configures a worst-case search.
 type Options struct {
 	Net      *network.Network
-	Protocol sim.Protocol
+	Protocol engine.Protocol
 	Duration rat.Rat
 	Rho      rat.Rat // drift bound ρ; rate mutations stay within [1−ρ, 1+ρ]
 
@@ -114,6 +113,9 @@ type Options struct {
 	// ignored otherwise).
 	Gradient core.GradientFunc
 
+	// The counts Rounds, Beam, DelayMutations, RateWindows and Workers must
+	// be non-negative; zero selects each one's default.
+	//
 	// Rounds bounds the greedy rounds (each round composes one more mutation
 	// on top of the beam). Default 4.
 	Rounds int
@@ -576,8 +578,14 @@ func normalize(opt *Options) ([]string, error) {
 	if opt.MutateTail.Sign() < 0 || opt.MutateTail.Greater(rat.FromInt(1)) {
 		return nil, fmt.Errorf("search: MutateTail %s outside [0, 1]", opt.MutateTail)
 	}
-	if opt.RateWindows < 0 {
-		return nil, fmt.Errorf("search: negative RateWindows %d", opt.RateWindows)
+	// Zero selects a count's default; a negative count is an error.
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"Rounds", opt.Rounds}, {"Beam", opt.Beam}, {"DelayMutations", opt.DelayMutations}, {"Workers", opt.Workers}, {"RateWindows", opt.RateWindows}} {
+		if c.v < 0 {
+			return nil, fmt.Errorf("search: negative %s %d", c.name, c.v)
+		}
 	}
 	if opt.RateWindows > 0 && !opt.DisableRateMutations && opt.Rho.Sign() <= 0 {
 		return nil, fmt.Errorf("search: RateWindows %d with drift bound ρ=%s: windowed rate surgery pins rates to 1−ρ and 1+ρ, which under ρ <= 0 never changes a schedule, so the windows would silently produce no mutants; set Rho > 0, or RateWindows = 0 to disable windowed surgery", opt.RateWindows, opt.Rho)
@@ -585,16 +593,16 @@ func normalize(opt *Options) ([]string, error) {
 	if opt.Base == nil {
 		opt.Base = engine.Midpoint()
 	}
-	if opt.Rounds <= 0 {
+	if opt.Rounds == 0 {
 		opt.Rounds = 4
 	}
-	if opt.Beam <= 0 {
+	if opt.Beam == 0 {
 		opt.Beam = 2
 	}
-	if opt.DelayMutations <= 0 {
+	if opt.DelayMutations == 0 {
 		opt.DelayMutations = 16
 	}
-	if opt.Workers <= 0 {
+	if opt.Workers == 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
 	var notes []string

@@ -461,6 +461,11 @@ func TestSearchOptionValidation(t *testing.T) {
 			Schedules: []*clock.Schedule{clock.Constant(ri(1))}}, "schedules"},
 		{"rate windows without drift", Options{Net: net, Protocol: proto, Duration: ri(1),
 			RateWindows: 2}, "windowed rate surgery"},
+		{"negative rounds", Options{Net: net, Protocol: proto, Duration: ri(1), Rounds: -1}, "search: negative Rounds -1"},
+		{"negative beam", Options{Net: net, Protocol: proto, Duration: ri(1), Beam: -1}, "search: negative Beam -1"},
+		{"negative delay mutations", Options{Net: net, Protocol: proto, Duration: ri(1), DelayMutations: -2}, "search: negative DelayMutations -2"},
+		{"negative workers", Options{Net: net, Protocol: proto, Duration: ri(1), Workers: -1}, "search: negative Workers -1"},
+		{"negative rate windows", Options{Net: net, Protocol: proto, Duration: ri(1), RateWindows: -1}, "search: negative RateWindows -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
