@@ -49,10 +49,8 @@ func TestHashAdversaryDelayRange(t *testing.T) {
 			eff = 16
 		}
 		for _, bound := range []rat.Rat{rat.FromInt(1), rat.FromInt(5), rat.MustFrac(3, 2)} {
-			distinct := map[string]bool{}
 			for seq := uint64(0); seq < 64; seq++ {
 				d := a.Delay(0, 1, seq, rat.Rat{}, bound)
-				distinct[d.String()] = true
 				if d.Sign() < 0 || d.Greater(bound) {
 					t.Fatalf("denom=%d bound=%s seq=%d: delay %s outside [0, %s]", denom, bound, seq, d, bound)
 				}
@@ -61,9 +59,6 @@ func TestHashAdversaryDelayRange(t *testing.T) {
 				if !steps.IsInt() {
 					t.Fatalf("denom=%d bound=%s seq=%d: delay %s not quantized to %d-ths", denom, bound, seq, d, eff)
 				}
-			}
-			if eff >= 8 && len(distinct) < 3 {
-				t.Fatalf("denom=%d bound=%s: only %d distinct delays in 64 draws", denom, bound, len(distinct))
 			}
 		}
 	}
@@ -102,4 +97,33 @@ func TestScriptedAdversaryChecked(t *testing.T) {
 		}()
 		bare.Delay(1, 0, 0, rat.Rat{}, bound)
 	}()
+}
+
+func TestHashAdversaryDeterministicAndBounded(t *testing.T) {
+	adv := HashAdversary{Seed: 99}
+	bound := ri(4)
+	seen := map[string]bool{}
+	for seq := uint64(0); seq < 50; seq++ {
+		d1 := adv.Delay(0, 1, seq, ri(0), bound)
+		d2 := adv.Delay(0, 1, seq, ri(7), bound) // send time must not matter
+		if !d1.Equal(d2) {
+			t.Fatal("hash adversary depends on send time")
+		}
+		if d1.Sign() < 0 || d1.Greater(bound) {
+			t.Fatalf("delay %s out of bounds", d1)
+		}
+		seen[d1.String()] = true
+	}
+	if len(seen) < 3 {
+		t.Errorf("hash adversary produced only %d distinct delays in 50 draws", len(seen))
+	}
+}
+
+func TestFuncAdversary(t *testing.T) {
+	adv := FuncAdversary(func(_, _ int, _ uint64, _ rat.Rat, bound rat.Rat) rat.Rat {
+		return bound
+	})
+	if got := adv.Delay(0, 1, 0, ri(0), ri(3)); !got.Equal(ri(3)) {
+		t.Errorf("FuncAdversary delay = %s", got)
+	}
 }

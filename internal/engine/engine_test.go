@@ -213,20 +213,6 @@ func TestConstructionErrors(t *testing.T) {
 		WithSchedules([]*clock.Schedule{clock.Constant(ri(3)), clock.Constant(ri(1)), clock.Constant(ri(1))})); err == nil {
 		t.Error("drift-violating schedule accepted")
 	}
-	// Run checks what New defaults: the adversary and the horizon.
-	cfg := Config{Net: net, Schedules: []*clock.Schedule{clock.Constant(ri(1)), clock.Constant(ri(1)), clock.Constant(ri(1))},
-		Adversary: Midpoint(), Protocol: silentProtocol{}, Duration: ri(1), Rho: rf(1, 2)}
-	noAdv, noDur := cfg, cfg
-	noAdv.Adversary, noDur.Duration = nil, rat.Rat{}
-	if _, err := Run(noAdv); err == nil {
-		t.Error("Run accepted a nil adversary")
-	}
-	if _, err := Run(noDur); err == nil {
-		t.Error("Run accepted a zero duration")
-	}
-	if _, err := Run(cfg); err != nil {
-		t.Errorf("Run rejected a valid config: %v", err)
-	}
 }
 
 // selfSendNode triggers an engine failure on init.

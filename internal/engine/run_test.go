@@ -154,6 +154,62 @@ func TestLogicalClockCompilation(t *testing.T) {
 	}
 }
 
+func TestConfigValidation(t *testing.T) {
+	net, _ := network.TwoNode(ri(1))
+	good := Config{
+		Net:       net,
+		Schedules: []*clock.Schedule{clock.Constant(ri(1)), clock.Constant(ri(1))},
+		Adversary: Midpoint(),
+		Protocol:  pingProtocol{period: ri(1)},
+		Duration:  ri(1),
+		Rho:       rf(1, 2),
+	}
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"nil net", func(c *Config) { c.Net = nil }},
+		{"schedule count", func(c *Config) { c.Schedules = c.Schedules[:1] }},
+		{"nil adversary", func(c *Config) { c.Adversary = nil }},
+		{"nil protocol", func(c *Config) { c.Protocol = nil }},
+		{"zero duration", func(c *Config) { c.Duration = rat.Rat{} }},
+		{"rho too big", func(c *Config) { c.Rho = ri(1) }},
+		{"drift violation", func(c *Config) {
+			c.Schedules = []*clock.Schedule{clock.Constant(ri(3)), clock.Constant(ri(1))}
+		}},
+	}
+	for _, tc := range cases {
+		cfg := good
+		cfg.Schedules = append([]*clock.Schedule{}, good.Schedules...)
+		tc.mutate(&cfg)
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s: want error", tc.name)
+		}
+	}
+}
+
+func TestPerNodeActionOrder(t *testing.T) {
+	cfg := twoNodeConfig(t, clock.Constant(ri(1)), clock.Constant(ri(1)), Midpoint(), ri(8))
+	exec, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < exec.N(); i++ {
+		actions := exec.NodeActions(i)
+		if len(actions) == 0 || actions[0].Kind != trace.KindInit {
+			t.Fatalf("node %d first action is not init", i)
+		}
+		for k := 1; k < len(actions); k++ {
+			if actions[k].Real.Less(actions[k-1].Real) {
+				t.Fatalf("node %d actions out of order", i)
+			}
+			if actions[k].HW.Less(actions[k-1].HW) {
+				t.Fatalf("node %d hardware readings out of order", i)
+			}
+		}
+	}
+}
+
 func ExampleRun() {
 	net, _ := network.TwoNode(rat.FromInt(2))
 	cfg := Config{
@@ -292,29 +348,41 @@ func (misuseProtocol) Name() string           { return "misuse" }
 func (p misuseProtocol) NewNode(id int) Node  { return misuseNode{id: id, misuse: p.misuse} }
 func (misuseProtocol) CloneState(n Node) Node { return n }
 
-// TestRuntimeMisuseFails: each way a protocol or adversary can break the
-// model fails the run with an error naming the violation.
+// TestRuntimeMisuseFails: each way a protocol can break the model fails the
+// run with an error naming the violation.
 func TestRuntimeMisuseFails(t *testing.T) {
-	beyondBound := FuncAdversary(func(_, _ int, _ uint64, _ rat.Rat, bound rat.Rat) rat.Rat { return bound.Add(ri(1)) })
 	cases := []struct {
 		name   string
 		misuse func(rt *Runtime)
-		adv    Adversary
 		want   string
 	}{
-		{"negative multiplier", func(rt *Runtime) { rt.SetLogical(rt.Logical(), ri(-1)) }, Midpoint(), "negative logical multiplier"},
-		{"nil message", func(rt *Runtime) { rt.Send(1, nil) }, Midpoint(), "sends nil message"},
-		{"past timer", func(rt *Runtime) { rt.SetTimerAtHW(rt.HW().Sub(ri(1)), 2) }, Midpoint(), "sets timer at hardware time"},
-		{"delay beyond bound", func(rt *Runtime) { rt.Send(1, echoMsg{Val: ri(1)}) }, beyondBound, "outside [0, 2]"},
+		{"negative multiplier", func(rt *Runtime) { rt.SetLogical(rt.Logical(), ri(-1)) }, "negative logical multiplier"},
+		{"nil message", func(rt *Runtime) { rt.Send(1, nil) }, "sends nil message"},
+		{"past timer", func(rt *Runtime) { rt.SetTimerAtHW(rt.HW().Sub(ri(1)), 2) }, "sets timer at hardware time"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := twoNodeConfig(t, clock.Constant(ri(1)), clock.Constant(ri(1)), tc.adv, ri(5))
+			cfg := twoNodeConfig(t, clock.Constant(ri(1)), clock.Constant(ri(1)), Midpoint(), ri(5))
 			cfg.Protocol = misuseProtocol{misuse: tc.misuse}
 			_, err := Run(cfg)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want one containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// badDelayAdversary returns delays exceeding the bound.
+type badDelayAdversary struct{}
+
+func (badDelayAdversary) Delay(_, _ int, _ uint64, _ rat.Rat, bound rat.Rat) rat.Rat {
+	return bound.Add(ri(1))
+}
+
+func TestAdversaryDelayValidation(t *testing.T) {
+	cfg := twoNodeConfig(t, clock.Constant(ri(1)), clock.Constant(ri(1)), badDelayAdversary{}, ri(5))
+	_, err := Run(cfg)
+	if err == nil || !strings.Contains(err.Error(), "outside [0, 2]") {
+		t.Fatalf("err = %v, want a delay-bound violation", err)
 	}
 }
