@@ -52,7 +52,7 @@ bench-snapshot:
 # with `go run ./cmd/perfgate -base base.txt -head head.txt` (and/or
 # benchstat); -s keeps make's command echo out of the output.
 bench-gated:
-	$(GO) test -bench 'EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows|CampaignAdvance' \
+	$(GO) test -bench 'EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows|CampaignAdvance|SkewTrackerDeclare' \
 		-benchmem -count 6 -run '^$$' ./...
 
 # Scenario matrix (internal/scenario): generated topology families × fault

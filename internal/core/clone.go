@@ -13,11 +13,14 @@ import (
 )
 
 // Clone returns an independent tracker with identical state: same running
-// maxima, same pending time, same deferred right-limit evaluations. The
-// immutable environment (network, schedules, merged rate breakpoints) is
-// shared; everything mutable is deep-copied. The onPair hook is deliberately
-// not carried over — it belongs to the wrapper that installed it
-// (GradientTracker.Clone rewires its own).
+// maxima (including which of them are still held in ticks), same pending
+// time, same deferred right-limit evaluations. The immutable environment
+// (network, schedules, merged rate breakpoints) is shared; everything
+// mutable is deep-copied, except the per-instant value vectors: the clone
+// starts with empty ones and re-evaluates them from its own declarations,
+// which also holds for a clone taken between two same-instant declarations.
+// The onPair hook is deliberately not carried over — it belongs to the
+// wrapper that installed it (GradientTracker.Clone rewires its own).
 func (st *SkewTracker) Clone() *SkewTracker {
 	return &SkewTracker{
 		net:       st.net,
@@ -33,19 +36,16 @@ func (st *SkewTracker) Clone() *SkewTracker {
 		pairSkew:  append([]rat.Rat(nil), st.pairSkew...),
 		pairAt:    append([]rat.Rat(nil), st.pairAt...),
 		pairSet:   append([]bool(nil), st.pairSet...),
-		global:    st.global,
-		local:     st.local,
+		gIdx:      st.gIdx,
+		lIdx:      st.lIdx,
 		err:       st.err,
 
 		// Fixed lane: compiled schedule mirrors are immutable and shared;
 		// tick mirrors deep-copy (all nil when the lane was never adopted).
-		// Flush scratch is per-tracker and reallocates on first use.
 		scale:      st.scale,
 		fscheds:    st.fscheds,
 		curT:       append([]declTicks(nil), st.curT...),
 		leftT:      append([]declTicks(nil), st.leftT...),
-		pendingT:   st.pendingT,
-		pendingOK:  st.pendingOK,
 		pairSkewT:  append([]int64(nil), st.pairSkewT...),
 		pairTickOK: append([]bool(nil), st.pairTickOK...),
 	}

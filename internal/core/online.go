@@ -8,10 +8,14 @@
 // interval on which both clocks are linear is attained at the interval's
 // endpoints, so a tracker that evaluates every pair at every breakpoint of
 // either clock — from the left and from the right — computes exactly the
-// same maxima as the post-hoc checkers over a recorded execution. The
-// trackers subscribe to declarations through the engine's ClockObserver
-// extension, process the (statically known) rate breakpoints lazily in time
-// order, and close out the final interval at each horizon notification.
+// same maxima as the post-hoc checkers over a recorded execution. Within one
+// instant every left limit is fixed, and a right limit differs from it only
+// for a node that declares there, so the SkewTracker evaluates each clock
+// once per instant (from each side) into a value vector and compares pairs
+// over that vector. The trackers subscribe to declarations through the
+// engine's ClockObserver extension, process the (statically known) rate
+// breakpoints lazily in time order, and close out the final interval at each
+// horizon notification.
 //
 // Same-time subtleties are handled to match the compiled piecewise clocks:
 // several declarations by one node at the same instant collapse to the last
@@ -98,32 +102,50 @@ type SkewTracker struct {
 	pairAt   []rat.Rat // time attaining it
 	pairSet  []bool
 
-	global PairSkew
-	local  PairSkew
+	// The global and local maxima are the running maxima of one pair each
+	// (i*n + j, or -1 before any positive skew): a pair overtakes them
+	// exactly when its own maximum rises above theirs, so the witness is
+	// that pair's value and instant.
+	gIdx, lIdx int
 
 	// onPair, when set, fires whenever a pair's running maximum increases.
 	// GradientTracker uses it for first-violation detection.
 	onPair func(i, j int, val, at rat.Rat)
 
+	// Per-instant value vectors: each node's logical value at valAt, from
+	// the left (lvals, under the declaration in effect just before valAt)
+	// and from the right (rvals, under the current declaration), each
+	// computed at most once per instant. An entry is live while its stamp
+	// equals valEpoch; moving to another instant bumps the epoch.
+	lvals, rvals []nodeVal
+	valAt        rat.Rat
+	valLive      bool
+	valEpoch     uint64
+	valT         int64 // valAt on the tick grid, when valTOK
+	valTOK       bool
+
 	// Fixed-point lane (see online_fixed.go): scale > 0 after AdoptFixedLane
-	// mirrors declarations, pending time, and pair maxima in int64 ticks so
-	// the per-declaration pair sweep runs on integer arithmetic,
-	// value-by-value falling back to rat.
+	// mirrors declarations and pair maxima in int64 ticks so the pair sweep
+	// runs on integer arithmetic, value-by-value falling back to rat.
 	scale      int64
 	fscheds    []*clock.FixedSchedule
 	curT       []declTicks
 	leftT      []declTicks
-	pendingT   int64
-	pendingOK  bool
 	pairSkewT  []int64
-	pairTickOK []bool
-	// Flush scratch: per-node logical values at the flush instant.
-	flushT   []int64
-	flushTOK []bool
-	flushR   []rat.Rat
-	flushROK []bool
+	pairTickOK []bool // pairSkewT holds the pair's maximum; pairSkew is stale
 
 	err error
+}
+
+// nodeVal is one node's logical value at the tracker's current instant: in
+// ticks when it lies on the grid (tOK), and as a rational only once some
+// pair needs the rat lane (rOK).
+type nodeVal struct {
+	stamp uint64
+	t     int64
+	tOK   bool
+	r     rat.Rat
+	rOK   bool
 }
 
 // NewSkewTracker returns a tracker for a run over net with the given
@@ -150,6 +172,8 @@ func NewSkewTracker(net *network.Network, scheds []*clock.Schedule) (*SkewTracke
 		pairSkew: make([]rat.Rat, n*n),
 		pairAt:   make([]rat.Rat, n*n),
 		pairSet:  make([]bool, n*n),
+		gIdx:     -1,
+		lIdx:     -1,
 	}
 	one := rat.FromInt(1)
 	for i := 0; i < n; i++ {
@@ -185,75 +209,152 @@ func (st *SkewTracker) declBefore(k int, t rat.Rat) trace.Decl {
 	return st.cur[k]
 }
 
-// updatePair folds one pair evaluation into the running maxima, reporting
-// whether it became the pair's new maximum. Storing through the rat lane
-// invalidates the pair's tick mirror; updatePairT refreshes it.
-func (st *SkewTracker) updatePair(i, j int, val, at rat.Rat) bool {
+// instant points the value vectors at time t, emptying them when t is a
+// new instant.
+func (st *SkewTracker) instant(t rat.Rat) {
+	if st.valLive && st.valAt.Equal(t) {
+		return
+	}
+	if st.lvals == nil {
+		st.lvals = make([]nodeVal, st.n)
+		st.rvals = make([]nodeVal, st.n)
+	}
+	st.valLive = true
+	st.valAt = t
+	st.valEpoch++
+	st.valT, st.valTOK = 0, false
+	if st.scale > 0 {
+		st.valT, st.valTOK = fixed.FromRat(t, st.scale)
+	}
+}
+
+// value returns node j's entry in vals (lvals or rvals, as right says),
+// evaluating its clock on the instant's first use only.
+func (st *SkewTracker) value(vals []nodeVal, j int, right bool) *nodeVal {
+	v := &vals[j]
+	if v.stamp != st.valEpoch {
+		st.fill(v, j, right)
+	}
+	return v
+}
+
+// fill evaluates node j's logical value at the current instant into v.
+func (st *SkewTracker) fill(v *nodeVal, j int, right bool) {
+	declared := st.cur[j].Real.Equal(st.valAt)
+	if right && !declared {
+		// No declaration at this instant: both limits agree. The rational,
+		// if needed, is rebuilt under cur[j], the same declaration.
+		l := st.value(st.lvals, j, false)
+		v.stamp, v.t, v.tOK, v.rOK = l.stamp, l.t, l.tOK, false
+		return
+	}
+	v.stamp, v.tOK, v.rOK = st.valEpoch, false, false
+	if st.valTOK {
+		dt := &st.curT[j]
+		if !right && declared {
+			dt = &st.leftT[j]
+		}
+		v.t, v.tOK = st.logicalAtT(dt, j, st.valT)
+	}
+}
+
+// ratValue returns v, node j's value at the current instant, as a rational.
+func (st *SkewTracker) ratValue(v *nodeVal, j int, right bool) rat.Rat {
+	if !v.rOK {
+		d := st.cur[j]
+		if !right {
+			d = st.declBefore(j, st.valAt)
+		}
+		v.r, v.rOK = st.logicalAt(d, j, st.valAt), true
+	}
+	return v.r
+}
+
+// sweep is the tracker's one pair loop: it folds |L_k(t) − L_j(t)| into the
+// running maxima for every j ≥ from, j ≠ k, in increasing j — the visiting
+// order that decides the witnesses. right selects the values under the
+// current declarations over the left limits. Pairs whose values both lie on
+// the tick grid compare in ticks; the rest take the rat lane.
+func (st *SkewTracker) sweep(k, from int, t rat.Rat, right bool) {
+	st.instant(t)
+	vals := st.lvals
+	if right {
+		vals = st.rvals
+	}
+	vk := st.value(vals, k, right)
+	for j := from; j < st.n; j++ {
+		if j == k {
+			continue
+		}
+		vj := st.value(vals, j, right)
+		if vk.tOK && vj.tOK {
+			if d, ok := fixed.Sub(vk.t, vj.t); ok {
+				if d < 0 {
+					d = -d
+				}
+				st.updatePairT(k, j, d, t)
+				continue
+			}
+		}
+		lk := st.ratValue(vk, k, right)
+		st.updatePair(k, j, lk.Sub(st.ratValue(vj, j, right)).Abs(), t)
+	}
+}
+
+// pairMax returns pair idx's running maximum, building the rational from
+// ticks when the tick mirror holds it.
+func (st *SkewTracker) pairMax(idx int) rat.Rat {
+	if st.inTicks(idx) {
+		return fixed.ToRat(st.pairSkewT[idx], st.scale)
+	}
+	return st.pairSkew[idx]
+}
+
+// exceeds reports whether pair idx's running maximum is greater than pair
+// ref's, or than zero when ref < 0.
+func (st *SkewTracker) exceeds(idx, ref int) bool {
+	switch {
+	case ref < 0 && st.inTicks(idx):
+		return st.pairSkewT[idx] > 0
+	case ref < 0:
+		return st.pairSkew[idx].Sign() > 0
+	case st.inTicks(idx) && st.inTicks(ref):
+		return st.pairSkewT[idx] > st.pairSkewT[ref]
+	}
+	return st.pairMax(idx).Greater(st.pairMax(ref))
+}
+
+// raised records that pair idx = (i, j) reached a new running maximum at
+// time at, and lets it overtake the global and local maxima.
+func (st *SkewTracker) raised(idx, i, j int, at rat.Rat) {
+	st.pairAt[idx] = at
+	if st.exceeds(idx, st.gIdx) {
+		st.gIdx = idx
+	}
+	if st.exceeds(idx, st.lIdx) && st.net.Dist(i, j).Equal(rat.FromInt(1)) {
+		st.lIdx = idx
+	}
+}
+
+// updatePair folds one pair evaluation into the running maxima through the
+// rat lane.
+func (st *SkewTracker) updatePair(i, j int, val, at rat.Rat) {
 	if j < i {
 		i, j = j, i
 	}
 	idx := i*st.n + j
-	if st.pairSet[idx] && !val.Greater(st.pairSkew[idx]) {
-		return false
+	if st.pairSet[idx] && !val.Greater(st.pairMax(idx)) {
+		return
 	}
 	st.pairSet[idx] = true
 	st.pairSkew[idx] = val
-	st.pairAt[idx] = at
 	if st.pairTickOK != nil {
 		st.pairTickOK[idx] = false
 	}
 	if st.onPair != nil {
 		st.onPair(i, j, val, at)
 	}
-	if val.Greater(st.global.Skew) {
-		st.global = PairSkew{I: i, J: j, Dist: st.net.Dist(i, j), Skew: val, At: at}
-	}
-	if val.Greater(st.local.Skew) && st.net.Dist(i, j).Equal(rat.FromInt(1)) {
-		st.local = PairSkew{I: i, J: j, Dist: rat.FromInt(1), Skew: val, At: at}
-	}
-	return true
-}
-
-// evalNode evaluates every pair involving k at time t under the current
-// declarations. tT/tOK carry t on the tick grid when the fixed lane is on;
-// pairs whose clocks evaluate in ticks compare in ticks, the rest go
-// through the rat lane.
-func (st *SkewTracker) evalNode(k int, t rat.Rat, tT int64, tOK bool) {
-	if tOK && st.scale > 0 {
-		if lkT, ok := st.logicalAtT(st.curT[k], k, tT); ok {
-			var lk rat.Rat
-			lkOK := false
-			for j := 0; j < st.n; j++ {
-				if j == k {
-					continue
-				}
-				if ljT, ok := st.logicalAtT(st.curT[j], j, tT); ok {
-					if d, ok := fixed.Sub(lkT, ljT); ok {
-						if d < 0 {
-							d = -d
-						}
-						st.updatePairT(k, j, d, t)
-						continue
-					}
-				}
-				if !lkOK {
-					lk = st.logicalAt(st.cur[k], k, t)
-					lkOK = true
-				}
-				lj := st.logicalAt(st.cur[j], j, t)
-				st.updatePair(k, j, lk.Sub(lj).Abs(), t)
-			}
-			return
-		}
-	}
-	lk := st.logicalAt(st.cur[k], k, t)
-	for j := 0; j < st.n; j++ {
-		if j == k {
-			continue
-		}
-		lj := st.logicalAt(st.cur[j], j, t)
-		st.updatePair(k, j, lk.Sub(lj).Abs(), t)
-	}
+	st.raised(idx, i, j, at)
 }
 
 // advance moves the tracker's clock from pending to t > pending: it flushes
@@ -262,7 +363,7 @@ func (st *SkewTracker) evalNode(k int, t rat.Rat, tT int64, tOK bool) {
 func (st *SkewTracker) advance(t rat.Rat) {
 	for _, k := range st.dirty {
 		st.isDirty[k] = false
-		st.evalNode(k, st.pending, st.pendingT, st.pendingOK)
+		st.sweep(k, 0, st.pending, true)
 	}
 	st.dirty = st.dirty[:0]
 	for st.nextBreak < len(st.breaks) && st.breaks[st.nextBreak].at.LessEq(t) {
@@ -271,9 +372,10 @@ func (st *SkewTracker) advance(t rat.Rat) {
 		if !br.at.Greater(st.pending) {
 			continue
 		}
-		atT, atOK := fixed.FromRat(br.at, st.scale)
 		for _, k := range br.nodes {
-			st.evalNode(k, br.at, atT, atOK)
+			// No declaration has landed at br.at yet: the current
+			// declarations are the left limits there.
+			st.sweep(k, 0, br.at, false)
 			// A declaration may still land at exactly this time; re-check the
 			// post-state once time moves past it.
 			if br.at.Equal(t) && !st.isDirty[k] {
@@ -283,7 +385,6 @@ func (st *SkewTracker) advance(t rat.Rat) {
 		}
 	}
 	st.pending = t
-	st.pendingT, st.pendingOK = fixed.FromRat(t, st.scale)
 }
 
 // OnDeclare implements the engine ClockObserver interface: it evaluates the
@@ -303,9 +404,7 @@ func (st *SkewTracker) OnDeclare(d trace.Decl) {
 		st.advance(t)
 	}
 	i := d.Node
-	// Left limits at t for every pair involving i. After advance, pending == t,
-	// so pendingT carries t on the tick grid.
-	st.evalLeftLimits(i, t, st.pendingT, st.pendingOK)
+	st.sweep(i, 0, t, false)
 	if st.cur[i].Real.Less(t) {
 		st.left[i] = st.cur[i]
 		if st.scale > 0 {
@@ -316,49 +415,10 @@ func (st *SkewTracker) OnDeclare(d trace.Decl) {
 	if st.scale > 0 {
 		st.curT[i] = st.declTicksOf(d)
 	}
+	st.rvals[i].stamp = 0 // its right value changed; the left one did not
 	if !st.isDirty[i] {
 		st.isDirty[i] = true
 		st.dirty = append(st.dirty, i)
-	}
-}
-
-// evalLeftLimits evaluates every pair involving i at t under the
-// declarations in effect just before t, mirroring evalNode's lane split.
-func (st *SkewTracker) evalLeftLimits(i int, t rat.Rat, tT int64, tOK bool) {
-	if tOK && st.scale > 0 {
-		if liT, ok := st.logicalAtT(st.declBeforeT(i, t), i, tT); ok {
-			var li rat.Rat
-			liOK := false
-			for j := 0; j < st.n; j++ {
-				if j == i {
-					continue
-				}
-				if ljT, ok := st.logicalAtT(st.declBeforeT(j, t), j, tT); ok {
-					if d, ok := fixed.Sub(liT, ljT); ok {
-						if d < 0 {
-							d = -d
-						}
-						st.updatePairT(i, j, d, t)
-						continue
-					}
-				}
-				if !liOK {
-					li = st.logicalAt(st.declBefore(i, t), i, t)
-					liOK = true
-				}
-				lj := st.logicalAt(st.declBefore(j, t), j, t)
-				st.updatePair(i, j, li.Sub(lj).Abs(), t)
-			}
-			return
-		}
-	}
-	li := st.logicalAt(st.declBefore(i, t), i, t)
-	for j := 0; j < st.n; j++ {
-		if j == i {
-			continue
-		}
-		lj := st.logicalAt(st.declBefore(j, t), j, t)
-		st.updatePair(i, j, li.Sub(lj).Abs(), t)
 	}
 }
 
@@ -377,43 +437,10 @@ func (st *SkewTracker) Flush(t rat.Rat) {
 	if t.Greater(st.pending) {
 		st.advance(t)
 	}
-	// Precompute each node's logical value at t once — in ticks when exact,
-	// through the rat lane lazily otherwise — so the all-pairs sweep repeats
-	// no clock evaluations.
-	if st.flushR == nil {
-		st.flushR = make([]rat.Rat, st.n)
-		st.flushROK = make([]bool, st.n)
-		st.flushT = make([]int64, st.n)
-		st.flushTOK = make([]bool, st.n)
-	}
-	tT, tOK := st.pendingT, st.pendingOK // pending == t after advance
+	// Every pair once, in Network.Pairs order.
 	for i := 0; i < st.n; i++ {
-		st.flushROK[i] = false
-		st.flushTOK[i] = false
-		if tOK && st.scale > 0 {
-			st.flushT[i], st.flushTOK[i] = st.logicalAtT(st.curT[i], i, tT)
-		}
+		st.sweep(i, i+1, t, true)
 	}
-	st.net.Pairs(func(i, j int) {
-		if st.flushTOK[i] && st.flushTOK[j] {
-			if d, ok := fixed.Sub(st.flushT[i], st.flushT[j]); ok {
-				if d < 0 {
-					d = -d
-				}
-				st.updatePairT(i, j, d, t)
-				return
-			}
-		}
-		if !st.flushROK[i] {
-			st.flushR[i] = st.logicalAt(st.cur[i], i, t)
-			st.flushROK[i] = true
-		}
-		if !st.flushROK[j] {
-			st.flushR[j] = st.logicalAt(st.cur[j], j, t)
-			st.flushROK[j] = true
-		}
-		st.updatePair(i, j, st.flushR[i].Sub(st.flushR[j]).Abs(), t)
-	})
 	// The all-pairs evaluation covers every deferred right-limit at t.
 	for _, k := range st.dirty {
 		st.isDirty[k] = false
@@ -435,11 +462,23 @@ func (st *SkewTracker) Time() rat.Rat { return st.pending }
 
 // Global returns the running global skew: the worst |L_i − L_j| over all
 // pairs and all processed times, with one witness pair and time.
-func (st *SkewTracker) Global() PairSkew { return st.global }
+func (st *SkewTracker) Global() PairSkew {
+	if st.gIdx < 0 {
+		return PairSkew{}
+	}
+	return st.Pair(st.gIdx/st.n, st.gIdx%st.n)
+}
 
 // Local returns the running local skew: the worst |L_i − L_j| over
 // distance-1 pairs.
-func (st *SkewTracker) Local() PairSkew { return st.local }
+func (st *SkewTracker) Local() PairSkew {
+	if st.lIdx < 0 {
+		return PairSkew{}
+	}
+	p := st.Pair(st.lIdx/st.n, st.lIdx%st.n)
+	p.Dist = rat.FromInt(1)
+	return p
+}
 
 // Pair returns the running worst skew for one pair.
 func (st *SkewTracker) Pair(i, j int) PairSkew {
@@ -447,7 +486,7 @@ func (st *SkewTracker) Pair(i, j int) PairSkew {
 		i, j = j, i
 	}
 	idx := i*st.n + j
-	return PairSkew{I: i, J: j, Dist: st.net.Dist(i, j), Skew: st.pairSkew[idx], At: st.pairAt[idx]}
+	return PairSkew{I: i, J: j, Dist: st.net.Dist(i, j), Skew: st.pairMax(idx), At: st.pairAt[idx]}
 }
 
 // Profile returns the running empirical gradient profile f̂(d) = max skew
@@ -466,7 +505,7 @@ func (st *SkewTracker) Profile() []ProfilePoint {
 			order = append(order, key)
 		}
 		p.Pairs++
-		if v := st.pairSkew[i*st.n+j]; v.Greater(p.MaxSkew) {
+		if v := st.pairMax(i*st.n + j); v.Greater(p.MaxSkew) {
 			p.MaxSkew = v
 		}
 	})
@@ -543,7 +582,7 @@ func (gt *GradientTracker) Report() GradientReport {
 		rep.Checked++
 		idx := i*gt.n + j
 		allowed := gt.allowed[idx]
-		val := gt.pairSkew[idx]
+		val := gt.pairMax(idx)
 		ratio := val.Float64() / allowed.Float64()
 		if val.Greater(allowed) {
 			rep.OK = false

@@ -2,12 +2,14 @@
 // engine's scale detection lands the run on a common tick grid, the engine
 // hands the scale to every attached observer implementing AdoptFixedLane,
 // and the tracker mirrors its per-node declarations and per-pair running
-// maxima in int64 ticks. Pair evaluations — the tracker's O(n)-per-
-// declaration hot path, and the dominant per-step CPU term of an observed
-// run — then reduce to integer clock evaluation plus one integer compare,
-// with the usual contract: any value off the grid falls back to exact
-// rational arithmetic for that value alone, so results are byte-identical
-// to the pure rat lane.
+// maxima in int64 ticks. The pair sweep — the tracker's O(n)-per-instant hot
+// path, and the dominant per-step CPU term of an observed run — then reduces
+// to one integer clock evaluation per node and instant plus one integer
+// subtract and compare per pair, with the usual contract: any value off the
+// grid falls back to exact rational arithmetic for that value alone, so
+// results are byte-identical to the pure rat lane. A pair maximum that rises
+// in ticks stays in ticks; its rational is built only when it is read, or
+// before the grid changes (settleTicks).
 
 package core
 
@@ -37,6 +39,8 @@ func (st *SkewTracker) AdoptFixedLane(scale int64) {
 	if scale == st.scale && (scale == 0 || st.fscheds != nil) {
 		return // already on this grid (e.g. a clone re-attached to a fork)
 	}
+	st.settleTicks()
+	st.valLive = false
 	st.scale = 0
 	st.fscheds = nil
 	if scale <= 0 {
@@ -62,11 +66,27 @@ func (st *SkewTracker) AdoptFixedLane(scale int64) {
 		st.curT[i] = st.declTicksOf(st.cur[i])
 		st.leftT[i] = st.declTicksOf(st.left[i])
 	}
-	// Pair mirrors re-establish lazily from the exact rat maxima.
-	for i := range st.pairTickOK {
-		st.pairTickOK[i] = false
+}
+
+// settleTicks builds the rational of every pair maximum held in ticks and
+// drops the tick mirrors; run it before the grid changes, after which those
+// ticks would mean nothing. Pair mirrors re-establish lazily from the exact
+// rat maxima on the next grid.
+func (st *SkewTracker) settleTicks() {
+	if st.scale <= 0 {
+		return
 	}
-	st.pendingT, st.pendingOK = fixed.FromRat(st.pending, scale)
+	for idx, ok := range st.pairTickOK {
+		if ok {
+			st.pairSkew[idx] = fixed.ToRat(st.pairSkewT[idx], st.scale)
+			st.pairTickOK[idx] = false
+		}
+	}
+}
+
+// inTicks reports whether pair idx's running maximum is held in ticks.
+func (st *SkewTracker) inTicks(idx int) bool {
+	return st.pairTickOK != nil && st.pairTickOK[idx]
 }
 
 // declTicksOf converts a declaration onto the grid.
@@ -81,18 +101,10 @@ func (st *SkewTracker) declTicksOf(d trace.Decl) declTicks {
 	}
 }
 
-// declBeforeT is declBefore on the tick mirror.
-func (st *SkewTracker) declBeforeT(k int, t rat.Rat) declTicks {
-	if st.cur[k].Real.Equal(t) {
-		return st.leftT[k]
-	}
-	return st.curT[k]
-}
-
 // logicalAtT evaluates node i's logical clock in ticks, or ok=false when
 // any component is off the grid. An ok result equals logicalAt bit for bit
 // after fixed.ToRat.
-func (st *SkewTracker) logicalAtT(dt declTicks, i int, tT int64) (int64, bool) {
+func (st *SkewTracker) logicalAtT(dt *declTicks, i int, tT int64) (int64, bool) {
 	if !dt.ok {
 		return 0, false
 	}
@@ -113,22 +125,33 @@ func (st *SkewTracker) logicalAtT(dt declTicks, i int, tT int64) (int64, bool) {
 
 // updatePairT folds a pair evaluation already computed in ticks into the
 // running maxima. The overwhelmingly common outcome — the new value does not
-// exceed the pair's running maximum — is a single integer compare; only an
-// increase (or a stale tick mirror) materializes rationals.
+// exceed the pair's running maximum held in ticks — is a single integer
+// compare. An increase stores the ticks only: reads build the rational
+// (pairMax), and only an installed onPair hook needs it at once.
 func (st *SkewTracker) updatePairT(i, j int, diffT int64, at rat.Rat) {
 	if j < i {
 		i, j = j, i
 	}
 	idx := i*st.n + j
-	if st.pairSet[idx] && st.pairTickOK[idx] && diffT <= st.pairSkewT[idx] {
-		return
+	if st.pairSet[idx] {
+		if !st.pairTickOK[idx] {
+			// The maximum was last stored through the rat lane: mirror it so
+			// this and later compares stay in ticks.
+			st.pairSkewT[idx], st.pairTickOK[idx] = fixed.FromRat(st.pairSkew[idx], st.scale)
+			if !st.pairTickOK[idx] {
+				st.updatePair(i, j, fixed.ToRat(diffT, st.scale), at)
+				return
+			}
+		}
+		if diffT <= st.pairSkewT[idx] {
+			return
+		}
 	}
-	if st.updatePair(i, j, fixed.ToRat(diffT, st.scale), at) {
-		st.pairSkewT[idx] = diffT
-		st.pairTickOK[idx] = true
-		return
+	st.pairSet[idx] = true
+	st.pairSkewT[idx] = diffT
+	st.pairTickOK[idx] = true
+	if st.onPair != nil {
+		st.onPair(i, j, fixed.ToRat(diffT, st.scale), at)
 	}
-	// Not an increase, but the tick mirror was stale (the maximum was last
-	// stored through the rat lane): refresh it so the next compare is fast.
-	st.pairSkewT[idx], st.pairTickOK[idx] = fixed.FromRat(st.pairSkew[idx], st.scale)
+	st.raised(idx, i, j, at)
 }

@@ -400,3 +400,176 @@ func TestTrackerConstructionErrors(t *testing.T) {
 		})
 	}
 }
+
+// burstNode gossips like gossipNode and, at hardware time 2, declares a
+// burst: node 0 jumps up by 3, node 1 jumps up by 4 and, in a second event
+// at the same instant, re-declares 2 lower at a faster multiplier, and
+// node 2 jumps up by 1 at a slower one. Every declaration is its own event,
+// so an engine stepped one event at a time can stop between them.
+type burstNode struct {
+	gossipNode
+	id int
+}
+
+func (n *burstNode) Init(rt *engine.Runtime) {
+	n.gossipNode.Init(rt)
+	if n.id <= 2 {
+		rt.SetTimerAtHW(rat.FromInt(2), 2)
+	}
+	if n.id == 1 {
+		rt.SetTimerAtHW(rat.FromInt(2), 3)
+	}
+}
+
+func (n *burstNode) OnTimer(rt *engine.Runtime, id int) {
+	switch {
+	case id == 1:
+		n.gossipNode.OnTimer(rt, id)
+	case id == 3:
+		rt.SetLogical(rt.Logical().Sub(rat.FromInt(2)), rat.MustFrac(5, 4))
+	case n.id == 0:
+		rt.SetLogical(rt.Logical().Add(rat.FromInt(3)), rat.FromInt(1))
+	case n.id == 1:
+		rt.SetLogical(rt.Logical().Add(rat.FromInt(4)), rat.FromInt(1))
+	default:
+		rt.SetLogical(rt.Logical().Add(rat.FromInt(1)), rat.MustFrac(3, 4))
+	}
+}
+
+type burstProtocol struct{}
+
+func (burstProtocol) Name() string { return "burst" }
+func (burstProtocol) NewNode(id int) engine.Node {
+	return &burstNode{gossipNode: gossipNode{period: rat.FromInt(1)}, id: id}
+}
+func (burstProtocol) CloneState(n engine.Node) engine.Node {
+	c := *n.(*burstNode)
+	return &c
+}
+
+// TestSameInstantCloneBetweenDeclarations: three nodes declare at t = 2
+// (one of them twice) while a fourth node's rate breaks there. A tracker
+// cloned between two of those declarations — its per-instant values only
+// half built — and finished on an engine fork must report what the
+// uncloned tracker and the post-hoc checkers report, witnesses included, on
+// either lane.
+func TestSameInstantCloneBetweenDeclarations(t *testing.T) {
+	net, err := network.Line(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := clock.Constant(rat.FromInt(1))
+	breaking, err := clock.FromRates([]clock.RateSeg{
+		{At: rat.Rat{}, Rate: rat.FromInt(1)},
+		{At: rat.FromInt(2), Rate: rat.MustFrac(5, 4)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engine.Config{
+		Net:       net,
+		Schedules: []*clock.Schedule{one, one, one, breaking},
+		Adversary: engine.HashAdversary{Seed: 3, Denom: 8},
+		Protocol:  burstProtocol{},
+		Duration:  rat.FromInt(8),
+		Rho:       rat.MustFrac(1, 2),
+	}
+	exec, err := engine.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := rat.FromInt(2)
+	for _, lane := range []string{"ticks", "rat"} {
+		t.Run(lane, func(t *testing.T) {
+			st, err := NewSkewTracker(cfg.Net, cfg.Schedules)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &declRecorder{}
+			trunk, err := engine.New(cfg.Net,
+				engine.WithProtocol(cfg.Protocol),
+				engine.WithAdversary(cfg.Adversary),
+				engine.WithSchedules(cfg.Schedules),
+				engine.WithRho(cfg.Rho),
+				engine.WithObservers(st, rec),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lane == "rat" {
+				st.AdoptFixedLane(0)
+			} else if st.scale == 0 {
+				t.Fatal("run not on the fixed lane")
+			}
+			// Step into the burst instant until two of its declarations
+			// have been seen.
+			atBurst := func() int {
+				c := 0
+				for _, d := range rec.decls {
+					if d.Real.Equal(burst) {
+						c++
+					}
+				}
+				return c
+			}
+			for atBurst() < 2 {
+				if _, err := trunk.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if nt, ok := trunk.NextEventTime(); !ok || !nt.Equal(burst) {
+				t.Fatalf("clone point not inside the burst instant (next event at %s)", nt)
+			}
+			clone := st.Clone()
+			fork, err := trunk.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fork.Observe(clone)
+			for _, e := range []*engine.Engine{trunk, fork} {
+				if err := e.RunUntil(cfg.Duration); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := atBurst(); n < 4 {
+				t.Fatalf("%d declarations at the burst instant, want at least 4", n)
+			}
+			for _, tr := range []*SkewTracker{st, clone} {
+				if err := tr.Err(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireSameSkew(t, "clone vs uncloned", clone, st)
+			requirePostHoc(t, "uncloned", exec, st)
+			requirePostHoc(t, "clone", exec, clone)
+		})
+	}
+}
+
+// TestDeclarationAfterFlushAtSameInstant: a declaration landing at the
+// instant of an earlier flush replaces the right-limit value the flush saw,
+// and the next right-limit sweep at that instant must use the new one.
+func TestDeclarationAfterFlushAtSameInstant(t *testing.T) {
+	net, err := network.TwoNode(rat.FromInt(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := clock.Constant(rat.FromInt(1))
+	st, err := NewSkewTracker(net, []*clock.Schedule{one, one})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.AdoptFixedLane(4)
+	two := rat.FromInt(2)
+	st.Flush(two)
+	// Jump 5 ahead at t = 2, then run at half rate: the skew is 5 at 2+ and
+	// shrinks afterwards.
+	st.OnDeclare(trace.Decl{Node: 0, Real: two, Value: rat.FromInt(7), Mult: rat.MustFrac(1, 2), HW0: two})
+	st.Flush(rat.FromInt(4))
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if g := st.Global(); !g.Skew.Equal(rat.FromInt(5)) || !g.At.Equal(two) {
+		t.Errorf("global = %s at %s, want 5 at 2", g.Skew, g.At)
+	}
+}

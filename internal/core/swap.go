@@ -23,7 +23,8 @@ import (
 // watched the whole run under the new schedule would have consumed them —
 // and recompiles the node's fixed-lane mirror; a replacement that does not
 // fit the adopted tick grid drops the tracker to the rat lane (arithmetic
-// changes, results do not).
+// changes, results do not), building the rationals of the pair maxima it
+// held in ticks first.
 func (st *SkewTracker) SwapSchedule(node int, s *clock.Schedule) error {
 	if node < 0 || node >= st.n {
 		return fmt.Errorf("core: SwapSchedule of invalid node %d", node)
@@ -42,12 +43,14 @@ func (st *SkewTracker) SwapSchedule(node int, s *clock.Schedule) error {
 		nb++
 	}
 	st.nextBreak = nb
+	st.valLive = false
 	if st.scale > 0 {
 		if f, ok := s.CompileFixed(st.scale); ok {
 			fs := append([]*clock.FixedSchedule(nil), st.fscheds...)
 			fs[node] = f
 			st.fscheds = fs
 		} else {
+			st.settleTicks()
 			st.scale = 0
 			st.fscheds = nil
 		}
