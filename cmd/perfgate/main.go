@@ -8,7 +8,9 @@
 //	git checkout <merge-base> && make -s bench-gated > base.txt
 //	perfgate -base base.txt -head head.txt
 //
-// Each gated benchmark is aggregated by the median of its -count
+// Every benchmark present in both files is gated: the inputs are already
+// the `make -s bench-gated` selection, so the Makefile holds the one list of
+// gated benchmarks. Each is aggregated by the median of its -count
 // repetitions (one noisy repetition cannot fail or save a run), then head
 // vs base is checked per unit: ns/op may grow at most -max-ns (default 30%),
 // allocs/op at most -max-allocs (default 20%). Benchmarks present in only
@@ -41,7 +43,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"time"
 
 	"gcs/internal/perf"
@@ -50,8 +51,6 @@ import (
 func main() {
 	base := flag.String("base", "", "bench output of the comparison baseline (required unless -append)")
 	head := flag.String("head", "", "bench output of the candidate revision (required)")
-	match := flag.String("match", "EngineStream|EngineFork|EngineForkGradient|AdaptiveRun|SearchPrefixCached|SearchEndToEnd|SearchRateWindows|CampaignAdvance",
-		"regexp of benchmark names to gate (empty gates everything)")
 	maxNs := flag.Float64("max-ns", 0.30, "tolerated relative ns/op regression")
 	maxAllocs := flag.Float64("max-allocs", 0.20, "tolerated relative allocs/op regression")
 	appendMode := flag.Bool("append", false, "append -head's medians to -history instead of gating")
@@ -68,11 +67,11 @@ func main() {
 	case *appendMode && *trendMode:
 		err = fmt.Errorf("-append and -trend are mutually exclusive")
 	case *appendMode:
-		err = runAppend(*head, *history, *match, *commit, *message, *repoURL, time.Now(), os.Stdout)
+		err = runAppend(*head, *history, *commit, *message, *repoURL, time.Now(), os.Stdout)
 	case *trendMode:
 		err = runTrend(*history, *window, *maxTrend, os.Stdout)
 	default:
-		err = run(*base, *head, *match, *maxNs, *maxAllocs, os.Stdout)
+		err = run(*base, *head, *maxNs, *maxAllocs, os.Stdout)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfgate:", err)
@@ -89,7 +88,7 @@ func parseBenchFile(path string) (map[string][]perf.BenchLine, error) {
 	return perf.ParseBench(f)
 }
 
-func run(basePath, headPath, match string, maxNs, maxAllocs float64, out *os.File) error {
+func run(basePath, headPath string, maxNs, maxAllocs float64, out *os.File) error {
 	if basePath == "" || headPath == "" {
 		return fmt.Errorf("both -base and -head are required")
 	}
@@ -102,13 +101,6 @@ func run(basePath, headPath, match string, maxNs, maxAllocs float64, out *os.Fil
 		return err
 	}
 	gate := perf.Gate{MaxNsRegress: maxNs, MaxAllocsRegress: maxAllocs}
-	if match != "" {
-		re, err := regexp.Compile(match)
-		if err != nil {
-			return fmt.Errorf("bad -match regexp: %w", err)
-		}
-		gate.Match = re
-	}
 	deltas := gate.Compare(baseBench, headBench)
 	fmt.Fprint(out, perf.Render(deltas))
 	if fails := perf.Failures(deltas); len(fails) > 0 {
@@ -116,7 +108,7 @@ func run(basePath, headPath, match string, maxNs, maxAllocs float64, out *os.Fil
 			len(fails), maxNs*100, maxAllocs*100)
 	}
 	if len(deltas) == 0 {
-		return fmt.Errorf("no gated benchmarks present in both inputs — wrong files or bad -match?")
+		return fmt.Errorf("no gated benchmarks present in both inputs — wrong files?")
 	}
 	return nil
 }
@@ -144,7 +136,7 @@ func runTrend(historyPath string, window int, maxTrend float64, out *os.File) er
 }
 
 // runAppend records headPath's medians as one history entry for commit.
-func runAppend(headPath, historyPath, match, commit, message, repoURL string, now time.Time, out *os.File) error {
+func runAppend(headPath, historyPath, commit, message, repoURL string, now time.Time, out *os.File) error {
 	if headPath == "" {
 		return fmt.Errorf("-head is required")
 	}
@@ -154,12 +146,6 @@ func runAppend(headPath, historyPath, match, commit, message, repoURL string, no
 	headBench, err := parseBenchFile(headPath)
 	if err != nil {
 		return err
-	}
-	var re *regexp.Regexp
-	if match != "" {
-		if re, err = regexp.Compile(match); err != nil {
-			return fmt.Errorf("bad -match regexp: %w", err)
-		}
 	}
 	raw, err := os.ReadFile(historyPath)
 	if err != nil && !os.IsNotExist(err) {
@@ -180,9 +166,9 @@ func runAppend(headPath, historyPath, match, commit, message, repoURL string, no
 	if h.RepoURL != "" {
 		hc.URL = h.RepoURL + "/commit/" + commit
 	}
-	entry := perf.EntryFromBench(headBench, hc, now.UnixMilli(), re)
+	entry := perf.EntryFromBench(headBench, hc, now.UnixMilli(), nil)
 	if len(entry.Benches) == 0 {
-		return fmt.Errorf("no benchmarks in %s match %q — nothing to record", headPath, match)
+		return fmt.Errorf("no benchmarks in %s — nothing to record", headPath)
 	}
 	h.Append(perf.HistorySeries, entry)
 	rendered, err := h.Render()

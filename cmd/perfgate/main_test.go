@@ -15,7 +15,7 @@ BenchmarkEngineStream/dur=32-8  3  100000 ns/op  1000 allocs/op
 BenchmarkEngineStream/dur=32-8  3  102000 ns/op  1000 allocs/op
 BenchmarkEngineStream/dur=32-8  3   98000 ns/op  1000 allocs/op
 BenchmarkSearchPrefixCached-8   2  500000 ns/op  2000 allocs/op
-BenchmarkUngated-8              9  100 ns/op     10 allocs/op
+BenchmarkOther-8                9  100 ns/op     10 allocs/op
 PASS
 `
 
@@ -31,7 +31,7 @@ func writeTemp(t *testing.T, name, content string) string {
 func TestGatePasses(t *testing.T) {
 	head := strings.ReplaceAll(baseOut, "500000 ns/op", "600000 ns/op") // +20% < 30%
 	err := run(writeTemp(t, "base.txt", baseOut), writeTemp(t, "head.txt", head),
-		"EngineStream|SearchPrefixCached|SearchEndToEnd", 0.30, 0.20, os.Stdout)
+		0.30, 0.20, os.Stdout)
 	if err != nil {
 		t.Fatalf("gate must pass within thresholds: %v", err)
 	}
@@ -40,7 +40,7 @@ func TestGatePasses(t *testing.T) {
 func TestGateFailsOnNsRegression(t *testing.T) {
 	head := strings.ReplaceAll(baseOut, "500000 ns/op", "700000 ns/op") // +40% > 30%
 	err := run(writeTemp(t, "base.txt", baseOut), writeTemp(t, "head.txt", head),
-		"EngineStream|SearchPrefixCached|SearchEndToEnd", 0.30, 0.20, os.Stdout)
+		0.30, 0.20, os.Stdout)
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("want gate failure, got %v", err)
 	}
@@ -49,24 +49,38 @@ func TestGateFailsOnNsRegression(t *testing.T) {
 func TestGateFailsOnAllocRegression(t *testing.T) {
 	head := strings.ReplaceAll(baseOut, "2000 allocs/op", "2500 allocs/op") // +25% > 20%
 	err := run(writeTemp(t, "base.txt", baseOut), writeTemp(t, "head.txt", head),
-		"EngineStream|SearchPrefixCached|SearchEndToEnd", 0.30, 0.20, os.Stdout)
+		0.30, 0.20, os.Stdout)
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("want gate failure, got %v", err)
 	}
 }
 
-func TestGateIgnoresUngatedBenchmarks(t *testing.T) {
-	head := strings.ReplaceAll(baseOut, "100 ns/op", "9000 ns/op") // huge, but not gated
-	err := run(writeTemp(t, "base.txt", baseOut), writeTemp(t, "head.txt", head),
-		"EngineStream|SearchPrefixCached|SearchEndToEnd", 0.30, 0.20, os.Stdout)
+// TestGateFailsOnSkewTrackerDeclareRegression: every benchmark in both
+// inputs is gated, so a 5× slower SkewTrackerDeclare/n=16 fails the run and
+// gets its own report row.
+func TestGateFailsOnSkewTrackerDeclareRegression(t *testing.T) {
+	base := baseOut + "BenchmarkSkewTrackerDeclare/n=16-8  9  2500 ns/op  0 allocs/op\n"
+	head := strings.ReplaceAll(base, "2500 ns/op", "12500 ns/op")
+	out, err := os.CreateTemp(t.TempDir(), "report")
 	if err != nil {
-		t.Fatalf("ungated benchmark must not fail the gate: %v", err)
+		t.Fatal(err)
+	}
+	err = run(writeTemp(t, "base.txt", base), writeTemp(t, "head.txt", head), 0.30, 0.20, out)
+	if err == nil || !strings.Contains(err.Error(), "1 perf gate(s) exceeded") {
+		t.Fatalf("want one exceeded gate, got %v", err)
+	}
+	report, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(report), "BenchmarkSkewTrackerDeclare/n=16") {
+		t.Fatalf("report has no SkewTrackerDeclare row:\n%s", report)
 	}
 }
 
 func TestGateRejectsEmptyIntersection(t *testing.T) {
 	err := run(writeTemp(t, "base.txt", "PASS\n"), writeTemp(t, "head.txt", baseOut),
-		"EngineStream", 0.30, 0.20, os.Stdout)
+		0.30, 0.20, os.Stdout)
 	if err == nil || !strings.Contains(err.Error(), "no gated benchmarks") {
 		t.Fatalf("empty intersection must be an error, got %v", err)
 	}
@@ -76,10 +90,9 @@ func TestAppendBootstrapsAndExtendsHistory(t *testing.T) {
 	head := writeTemp(t, "head.txt", baseOut)
 	history := filepath.Join(t.TempDir(), "bench", "data.js")
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	gated := "EngineStream|SearchPrefixCached|SearchEndToEnd"
 
 	// First append bootstraps a fresh data.js under a fresh directory.
-	err := runAppend(head, history, gated, "abc123", "first commit",
+	err := runAppend(head, history, "abc123", "first commit",
 		"https://example.com/owner/repo", now, os.Stdout)
 	if err != nil {
 		t.Fatal(err)
@@ -106,15 +119,12 @@ func TestAppendBootstrapsAndExtendsHistory(t *testing.T) {
 	if e.Date != now.UnixMilli() || h.LastUpdate != now.UnixMilli() {
 		t.Fatalf("bad dates: entry %d, lastUpdate %d", e.Date, h.LastUpdate)
 	}
-	// Gated benches only (EngineStream + SearchPrefixCached, ns + allocs
-	// each), median of the three EngineStream repetitions.
-	if len(e.Benches) != 4 {
-		t.Fatalf("recorded %d figures, want 4: %+v", len(e.Benches), e.Benches)
+	// Every benchmark of the input (ns + allocs each), median of the three
+	// EngineStream repetitions.
+	if len(e.Benches) != 6 {
+		t.Fatalf("recorded %d figures, want 6: %+v", len(e.Benches), e.Benches)
 	}
 	for _, b := range e.Benches {
-		if strings.Contains(b.Name, "Ungated") {
-			t.Fatalf("ungated benchmark recorded: %+v", b)
-		}
 		if strings.HasPrefix(b.Name, "BenchmarkEngineStream") && b.Unit == "ns/op" && b.Value != 100000 {
 			t.Fatalf("EngineStream median = %v, want 100000", b.Value)
 		}
@@ -122,7 +132,7 @@ func TestAppendBootstrapsAndExtendsHistory(t *testing.T) {
 
 	// Second append extends, preserving the first entry.
 	later := now.Add(time.Hour)
-	err = runAppend(head, history, gated, "def456", "second commit", "", later, os.Stdout)
+	err = runAppend(head, history, "def456", "second commit", "", later, os.Stdout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,9 +156,9 @@ func TestAppendBootstrapsAndExtendsHistory(t *testing.T) {
 }
 
 func TestAppendRejectsEmptyMatch(t *testing.T) {
-	head := writeTemp(t, "head.txt", baseOut)
+	head := writeTemp(t, "head.txt", "PASS\n")
 	history := filepath.Join(t.TempDir(), "data.js")
-	err := runAppend(head, history, "NoSuchBenchmark", "abc", "", "", time.Now(), os.Stdout)
+	err := runAppend(head, history, "abc", "", "", time.Now(), os.Stdout)
 	if err == nil || !strings.Contains(err.Error(), "nothing to record") {
 		t.Fatalf("want nothing-to-record error, got %v", err)
 	}

@@ -191,8 +191,14 @@ type (
 	// FractionAdversary delays every message by a fixed fraction of the
 	// bound.
 	FractionAdversary = engine.FractionAdversary
-	// ScriptedAdversary replays exact per-message delays.
+	// ScriptedAdversary replays exact per-message delays from a Script.
 	ScriptedAdversary = engine.ScriptedAdversary
+	// Script is the one delay-script form: entries sorted by message key
+	// (From, To, Seq) with unique keys. Build one with NewScript or
+	// DecisionLog.Script; With derives an edited copy, Equal compares.
+	Script = engine.Script
+	// ScriptEntry is one scripted delay: a message key and its delay.
+	ScriptEntry = engine.ScriptEntry
 	// FuncAdversary adapts a function.
 	FuncAdversary = engine.FuncAdversary
 	// HashAdversary draws reproducible pseudo-random delays.
@@ -283,6 +289,8 @@ var (
 	WithObservers = engine.WithObservers
 	WithLane      = engine.WithLane
 	NewRecorder   = trace.NewRecorder
+	// NewScript sorts entries into a Script, rejecting duplicate keys.
+	NewScript = engine.NewScript
 
 	// SetDefaultLane / DefaultLane flip the process-wide lane for engines
 	// built with LaneAuto — the differential-test hook for forcing whole
@@ -416,7 +424,7 @@ type (
 	// Decision is one captured per-message delay choice.
 	Decision = search.Decision
 	// DecisionLog is an engine observer converting a run's delay decisions
-	// into a replayable script.
+	// into a replayable Script.
 	DecisionLog = search.DecisionLog
 )
 

@@ -70,8 +70,11 @@ func Midpoint() FractionAdversary { return FractionAdversary{Frac: rat.MustFrac(
 // is delegated to Fallback, and a nil Fallback is a scripting error —
 // DelayChecked reports it, the engine fails the run with it, and a direct
 // Delay call panics with the same message (it has no error channel).
+//
+// Delays must satisfy the Script invariant (sorted, unique keys); New and
+// SetAdversary fail on a script that does not.
 type ScriptedAdversary struct {
-	Delays   map[trace.MsgKey]rat.Rat
+	Delays   Script
 	Fallback Adversary
 }
 
@@ -85,8 +88,8 @@ var (
 // Fallback tail, which owns observation state and fault configuration.
 func (a ScriptedAdversary) Unwrap() Adversary { return a.Fallback }
 
-// CloneAdversary implements StatefulAdversary transparently: the script map
-// is never mutated during replay, so the clone shares it, while a stateful
+// CloneAdversary implements StatefulAdversary transparently: the script is
+// never mutated during replay, so the clone shares it, while a stateful
 // Fallback tail is cloned so two branches replaying the same script never
 // share tail state. When the Fallback is stateful but not cloneable the
 // wrapper cannot be cloned either — CloneAdversary returns nil, which
@@ -117,7 +120,7 @@ func (a ScriptedAdversary) Delay(from, to int, seq uint64, sendReal rat.Rat, bou
 // delegates to the Fallback tail for messages beyond the script, and errors
 // when the script is exhausted with no tail to fall back to.
 func (a ScriptedAdversary) DelayChecked(from, to int, seq uint64, sendReal rat.Rat, bound rat.Rat) (rat.Rat, error) {
-	if d, ok := a.Delays[trace.MsgKey{From: from, To: to, Seq: seq}]; ok {
+	if d, ok := a.Delays.Lookup(trace.MsgKey{From: from, To: to, Seq: seq}); ok {
 		return d, nil
 	}
 	if a.Fallback == nil {

@@ -74,7 +74,7 @@ func TestScriptedAdversaryChecked(t *testing.T) {
 	key := trace.MsgKey{From: 0, To: 1, Seq: 2}
 	bound := rat.FromInt(4)
 	sa := ScriptedAdversary{
-		Delays:   map[trace.MsgKey]rat.Rat{key: rat.FromInt(3)},
+		Delays:   Script{{Key: key, Delay: rat.FromInt(3)}},
 		Fallback: FractionAdversary{Frac: rat.MustFrac(1, 4)},
 	}
 	if d, err := sa.DelayChecked(0, 1, 2, rat.Rat{}, bound); err != nil || !d.Equal(rat.FromInt(3)) {
@@ -84,7 +84,7 @@ func TestScriptedAdversaryChecked(t *testing.T) {
 		t.Fatalf("tail key: got %s, %v (want bound/4)", d, err)
 	}
 
-	bare := ScriptedAdversary{Delays: map[trace.MsgKey]rat.Rat{key: rat.FromInt(3)}}
+	bare := ScriptedAdversary{Delays: Script{{Key: key, Delay: rat.FromInt(3)}}}
 	if _, err := bare.DelayChecked(1, 0, 0, rat.Rat{}, bound); err == nil ||
 		!strings.Contains(err.Error(), "no Fallback") {
 		t.Fatalf("missing tail: got %v, want explicit no-Fallback error", err)
@@ -125,5 +125,51 @@ func TestFuncAdversary(t *testing.T) {
 	})
 	if got := adv.Delay(0, 1, 0, ri(0), ri(3)); !got.Equal(ri(3)) {
 		t.Errorf("FuncAdversary delay = %s", got)
+	}
+}
+
+// TestUnsortedScriptRejected: a hand-built Script out of (From, To, Seq)
+// order would make Lookup miss entries it holds, so New and SetAdversary
+// refuse it, wrapped or bare, while NewScript sorts the same entries into a
+// script both accept.
+func TestUnsortedScriptRejected(t *testing.T) {
+	entries := []ScriptEntry{
+		{Key: trace.MsgKey{From: 1, To: 0, Seq: 0}, Delay: rf(1, 2)},
+		{Key: trace.MsgKey{From: 0, To: 1, Seq: 0}, Delay: rf(1, 4)},
+	}
+	cfg := lineConfig(t, 2, pulseProtocol{}, ri(1))
+	const want = "entries 0 (1→0 seq 0) and 1 (0→1 seq 0) are not in strictly increasing"
+	for _, adv := range []Adversary{
+		ScriptedAdversary{Delays: entries, Fallback: Midpoint()},
+		&ScriptedAdversary{Delays: entries},
+		ScriptedAdversary{Fallback: ScriptedAdversary{Delays: entries}},
+	} {
+		if _, err := New(cfg.Net, WithProtocol(cfg.Protocol), WithAdversary(adv)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("New(%T): got %v, want an order error", adv, err)
+		}
+		eng, err := New(cfg.Net, WithProtocol(cfg.Protocol))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.SetAdversary(adv); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("SetAdversary(%T): got %v, want an order error", adv, err)
+		}
+	}
+	sorted, err := NewScript(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sorted[0].Key != entries[1].Key || sorted[1].Key != entries[0].Key {
+		t.Fatalf("NewScript did not sort: %v", sorted)
+	}
+	eng, err := New(cfg.Net, WithProtocol(cfg.Protocol), WithAdversary(ScriptedAdversary{Delays: sorted, Fallback: Midpoint()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := sorted.Lookup(entries[0].Key); !ok || !d.Equal(rf(1, 2)) {
+		t.Fatalf("Lookup(%v) = %s, %v", entries[0].Key, d, ok)
+	}
+	if err := eng.SetAdversary(ScriptedAdversary{Delays: sorted}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -213,6 +213,9 @@ func New(net *network.Network, opts ...Option) (*Engine, error) {
 	if e.adv == nil {
 		e.adv = Midpoint()
 	}
+	if err := checkScripts(e.adv); err != nil {
+		return nil, err
+	}
 	e.bindAdversary(e.adv)
 	if e.proto == nil {
 		return nil, errors.New("engine: nil protocol (use WithProtocol)")

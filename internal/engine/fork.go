@@ -270,13 +270,16 @@ func (e *Engine) SwapSchedule(node int, s *clock.Schedule) error {
 //
 // An adversary with observer feedback hooks is rebound to the event stream
 // from this point on (it sees nothing retroactively); the previous
-// adversary's hooks are detached. Like NewEngine, SetAdversary performs no
-// up-front decision validation — a CheckedAdversary that cannot decide a
+// adversary's hooks are detached. Like NewEngine, SetAdversary checks only
+// Script order, no decisions — a CheckedAdversary that cannot decide a
 // later message (e.g. a ScriptedAdversary with an exhausted script and nil
 // Fallback) fails the run at that send with its precise DelayChecked error.
 func (e *Engine) SetAdversary(a Adversary) error {
 	if a == nil {
 		return errors.New("engine: nil adversary")
+	}
+	if err := checkScripts(a); err != nil {
+		return err
 	}
 	e.bindAdversary(a)
 	return nil

@@ -93,12 +93,11 @@ func (a HashAdversary) DelayDenom() int64 {
 }
 
 // DelayDenom implements DenomHinter: the bounded LCM of every scripted
-// delay's denominator and the Fallback tail's own hint. Map iteration order
-// does not matter — the LCM is commutative.
+// delay's denominator and the Fallback tail's own hint.
 func (a ScriptedAdversary) DelayDenom() int64 {
 	d := int64(1)
-	for _, delay := range a.Delays {
-		den, ok := delay.Den()
+	for _, e := range a.Delays {
+		den, ok := e.Delay.Den()
 		if !ok {
 			return 0
 		}

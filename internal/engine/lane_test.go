@@ -96,9 +96,9 @@ func TestDenomHinterImpls(t *testing.T) {
 		t.Errorf("HashAdversary{}: DelayDenom = %d, want 16", got)
 	}
 	scripted := ScriptedAdversary{
-		Delays: map[trace.MsgKey]rat.Rat{
-			{From: 0, To: 1, Seq: 0}: rf(1, 6),
-			{From: 1, To: 0, Seq: 0}: rf(3, 4),
+		Delays: Script{
+			{Key: trace.MsgKey{From: 0, To: 1, Seq: 0}, Delay: rf(1, 6)},
+			{Key: trace.MsgKey{From: 1, To: 0, Seq: 0}, Delay: rf(3, 4)},
 		},
 		Fallback: FractionAdversary{Frac: rf(1, 5)},
 	}

@@ -154,7 +154,7 @@ func AddSkew(in AddSkewInput) (*AddSkewResult, error) {
 	}
 
 	// Scripted delays realizing the remapped receive times.
-	script := make(map[trace.MsgKey]rat.Rat, len(in.Alpha.Ledger))
+	entries := make([]engine.ScriptEntry, 0, len(in.Alpha.Ledger))
 	inFlight := make(map[trace.MsgKey]bool)
 	for key, rec := range in.Alpha.Ledger {
 		sendB := remap(rec.SendReal, tk[key.From], gamma)
@@ -162,7 +162,7 @@ func AddSkew(in AddSkewInput) (*AddSkewResult, error) {
 			// In flight at ℓ(α): keep it in flight in β by assigning the
 			// maximum delay; the indistinguishability check would catch any
 			// early arrival this fails to prevent.
-			script[key] = in.Cfg.Net.Dist(key.From, key.To)
+			entries = append(entries, engine.ScriptEntry{Key: key, Delay: in.Cfg.Net.Dist(key.From, key.To)})
 			inFlight[key] = true
 			continue
 		}
@@ -171,9 +171,13 @@ func AddSkew(in AddSkewInput) (*AddSkewResult, error) {
 		if delay.Sign() < 0 {
 			return nil, fmt.Errorf("lowerbound: remapped delay for %v is negative (%s)", key, delay)
 		}
-		script[key] = delay
+		entries = append(entries, engine.ScriptEntry{Key: key, Delay: delay})
 	}
 
+	script, err := engine.NewScript(entries)
+	if err != nil {
+		return nil, fmt.Errorf("lowerbound: β script: %w", err)
+	}
 	betaCfg := in.Cfg
 	betaCfg.Schedules = scheds
 	betaCfg.Adversary = engine.ScriptedAdversary{Delays: script, Fallback: failingAdversary{}}

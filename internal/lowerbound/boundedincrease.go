@@ -137,29 +137,33 @@ func BoundedIncrease(in BoundedIncreaseInput) (*BoundedIncreaseResult, error) {
 
 	// Scripted delays: identical for messages not involving I; remapped send
 	// (From = I) or receive (To = I) times otherwise.
-	script := make(map[trace.MsgKey]rat.Rat, len(alpha.Ledger))
+	entries := make([]engine.ScriptEntry, 0, len(alpha.Ledger))
 	for key, rec := range alpha.Ledger {
 		switch {
 		case !rec.Delivered:
 			// In flight at ℓ(α): keep it in flight.
-			script[key] = alpha.Net.Dist(key.From, key.To)
+			entries = append(entries, engine.ScriptEntry{Key: key, Delay: alpha.Net.Dist(key.From, key.To)})
 		case key.From == in.I:
 			ms, err := remapI(rec.SendReal)
 			if err != nil {
 				return nil, fmt.Errorf("lowerbound: remap send %v: %w", key, err)
 			}
-			script[key] = rec.RecvReal.Sub(ms)
+			entries = append(entries, engine.ScriptEntry{Key: key, Delay: rec.RecvReal.Sub(ms)})
 		case key.To == in.I:
 			mr, err := remapI(rec.RecvReal)
 			if err != nil {
 				return nil, fmt.Errorf("lowerbound: remap recv %v: %w", key, err)
 			}
-			script[key] = mr.Sub(rec.SendReal)
+			entries = append(entries, engine.ScriptEntry{Key: key, Delay: mr.Sub(rec.SendReal)})
 		default:
-			script[key] = rec.Delay
+			entries = append(entries, engine.ScriptEntry{Key: key, Delay: rec.Delay})
 		}
 	}
 
+	script, err := engine.NewScript(entries)
+	if err != nil {
+		return nil, fmt.Errorf("lowerbound: β script: %w", err)
+	}
 	betaCfg := in.Cfg
 	betaCfg.Schedules = scheds
 	betaCfg.Adversary = engine.ScriptedAdversary{Delays: script, Fallback: failingAdversary{}}

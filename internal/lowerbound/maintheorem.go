@@ -169,16 +169,20 @@ func MainTheorem(in MainTheoremInput) (*MainTheoremResult, error) {
 		// verified by the prefix check); keep remapped delays for messages
 		// delivered in α but pushed past T' by the remap (they land inside
 		// the slack); fresh messages get midpoint delays.
-		script := make(map[trace.MsgKey]rat.Rat, len(as.Beta.Ledger))
+		entries := make([]engine.ScriptEntry, 0, len(as.Beta.Ledger))
 		for key, rec := range as.Beta.Ledger {
 			switch {
 			case rec.Delivered:
-				script[key] = rec.Delay
+				entries = append(entries, engine.ScriptEntry{Key: key, Delay: rec.Delay})
 			case as.InFlight[key]:
-				script[key] = half.Mul(net.Dist(key.From, key.To))
+				entries = append(entries, engine.ScriptEntry{Key: key, Delay: half.Mul(net.Dist(key.From, key.To))})
 			default:
-				script[key] = rec.Delay
+				entries = append(entries, engine.ScriptEntry{Key: key, Delay: rec.Delay})
 			}
+		}
+		script, err := engine.NewScript(entries)
+		if err != nil {
+			return nil, fmt.Errorf("lowerbound: round %d extension script: %w", k, err)
 		}
 		nextCfg := engine.Config{
 			Net:       net,

@@ -11,8 +11,6 @@ import (
 
 	"gcs/internal/clock"
 	"gcs/internal/engine"
-	"gcs/internal/rat"
-	"gcs/internal/trace"
 )
 
 // AdversarySeed is a replayable worst-case adversary extracted from a
@@ -22,8 +20,9 @@ import (
 type AdversarySeed struct {
 	// Name labels the construction the seed came from.
 	Name string
-	// Script is the per-message delay script of the constructed execution.
-	Script map[trace.MsgKey]rat.Rat
+	// Script is the per-message delay script of the constructed execution,
+	// shared with the construction's config (a Script is never mutated).
+	Script engine.Script
 	// Schedules are the construction's hardware schedules (rate surgery
 	// included), one per node.
 	Schedules []*clock.Schedule
@@ -36,13 +35,9 @@ func seedFromCfg(name string, cfg engine.Config) (AdversarySeed, error) {
 	if !ok {
 		return AdversarySeed{}, fmt.Errorf("lowerbound: %s adversary is %T, not scripted; no seed to export", name, cfg.Adversary)
 	}
-	script := make(map[trace.MsgKey]rat.Rat, len(sa.Delays))
-	for k, v := range sa.Delays {
-		script[k] = v
-	}
 	return AdversarySeed{
 		Name:      name,
-		Script:    script,
+		Script:    sa.Delays,
 		Schedules: append([]*clock.Schedule(nil), cfg.Schedules...),
 	}, nil
 }

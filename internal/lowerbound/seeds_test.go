@@ -84,20 +84,18 @@ func TestMainTheoremSeedExports(t *testing.T) {
 	if len(seed.Script) == 0 {
 		t.Fatal("theorem seed exported an empty script")
 	}
-	// The exported script is a copy: mutating an entry must not corrupt the
-	// result's own config.
+	// The exported script is the construction's own: a Script is never
+	// mutated, so the seed shares it, and an edit derived with With leaves
+	// the construction's script untouched.
 	sa := res.FinalCfg.Adversary.(engine.ScriptedAdversary)
-	for k, v := range seed.Script {
-		if v.IsZero() {
-			continue
-		}
-		seed.Script[k] = rat.Rat{}
-		if !sa.Delays[k].Equal(v) {
-			t.Fatalf("mutating the exported script changed the construction's script at %v", k)
-		}
-		return
+	if !seed.Script.Equal(sa.Delays) {
+		t.Fatal("theorem seed script differs from the construction's")
 	}
-	t.Fatal("no nonzero delay in the exported script to exercise the copy check")
+	first := seed.Script[0]
+	edited := seed.Script.With(first.Key, first.Delay.Add(rat.FromInt(1)))
+	if d, _ := sa.Delays.Lookup(first.Key); !d.Equal(first.Delay) || edited.Equal(sa.Delays) {
+		t.Fatalf("editing the exported script changed the construction's script at %v", first.Key)
+	}
 }
 
 // TestSeedFromUnscriptedConfig: a config whose adversary is not scripted

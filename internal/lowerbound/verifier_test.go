@@ -39,24 +39,20 @@ func TestVerifierCatchesCorruptedScript(t *testing.T) {
 	if !ok {
 		t.Fatal("β adversary is not scripted")
 	}
-	corrupted := make(map[trace.MsgKey]rat.Rat, len(scripted.Delays))
-	var victim trace.MsgKey
+	var victim engine.ScriptEntry
 	found := false
-	for key, d := range scripted.Delays {
-		corrupted[key] = d
+	for _, e := range scripted.Delays {
 		// Pick a delivered mid-run message between adjacent nodes.
-		if !found {
-			if rec, ok := alpha.Ledger[key]; ok && rec.Delivered &&
-				rec.RecvReal.Greater(ri(2)) && rec.RecvReal.Less(res.TPrime) {
-				victim = key
-				found = true
-			}
+		if rec, ok := alpha.Ledger[e.Key]; ok && rec.Delivered &&
+			rec.RecvReal.Greater(ri(2)) && rec.RecvReal.Less(res.TPrime) {
+			victim, found = e, true
+			break
 		}
 	}
 	if !found {
 		t.Fatal("no suitable victim message")
 	}
-	corrupted[victim] = corrupted[victim].Add(rf(1, 8))
+	corrupted := scripted.Delays.With(victim.Key, victim.Delay.Add(rf(1, 8)))
 
 	badCfg := res.BetaCfg
 	badCfg.Adversary = engine.ScriptedAdversary{Delays: corrupted, Fallback: engine.Midpoint()}

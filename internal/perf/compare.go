@@ -15,7 +15,6 @@ package perf
 import (
 	"fmt"
 	"math"
-	"regexp"
 	"sort"
 	"strings"
 )
@@ -29,9 +28,6 @@ type Gate struct {
 	// MaxAllocsRegress is the tolerated relative allocs/op increase
 	// (0.20 = +20%).
 	MaxAllocsRegress float64
-	// Match restricts gating to benchmarks whose (suffix-stripped) name
-	// matches; nil gates everything present in both runs.
-	Match *regexp.Regexp
 }
 
 // Delta is one gated (benchmark, unit) comparison. Ratio is head/base − 1;
@@ -47,7 +43,7 @@ type Delta struct {
 }
 
 // Compare gates head against base: for every benchmark present in both runs
-// (and matching the gate's name filter), the medians of ns/op and allocs/op
+// the medians of ns/op and allocs/op
 // are compared against the thresholds. Benchmarks present on only one side
 // are skipped — a brand-new benchmark has no baseline to regress from, and a
 // deleted one has nothing to protect.
@@ -55,9 +51,6 @@ func (g Gate) Compare(base, head map[string][]BenchLine) []Delta {
 	names := make([]string, 0, len(head))
 	for name := range head {
 		if _, ok := base[name]; !ok {
-			continue
-		}
-		if g.Match != nil && !g.Match.MatchString(name) {
 			continue
 		}
 		names = append(names, name)

@@ -9,7 +9,6 @@ import (
 	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
-	"gcs/internal/trace"
 )
 
 // benchCandidates builds a fixed, deterministic candidate batch by capturing
@@ -17,10 +16,10 @@ import (
 // per-round workload of the search loop.
 func benchCandidates(b *testing.B, opt Options) []candidate {
 	b.Helper()
-	if _, err := normalize(&opt); err != nil {
+	if err := normalize(&opt); err != nil {
 		b.Fatal(err)
 	}
-	seedEval := evaluate(opt, candidate{rates: make([]rat.Rat, opt.Net.N())}, nil)
+	seedEval := evaluate(opt, candidate{rates: make([]rat.Rat, opt.Net.N())})
 	if seedEval.err != nil {
 		b.Fatal(seedEval.err)
 	}
@@ -42,7 +41,7 @@ func BenchmarkSearch(b *testing.B) {
 		Rho:            rat.MustFrac(1, 2),
 		DelayMutations: 12,
 	}
-	if _, err := normalize(&opt); err != nil {
+	if err := normalize(&opt); err != nil {
 		b.Fatal(err)
 	}
 	cands := benchCandidates(b, opt)
@@ -130,7 +129,7 @@ func benchSearch(b *testing.B, opt Options) {
 	b.Helper()
 	// The CI perf gate watches this pair's allocs/op alongside ns/op.
 	b.ReportAllocs()
-	var sink map[trace.MsgKey]rat.Rat
+	var sink engine.Script
 	for i := 0; i < b.N; i++ {
 		res, err := Search(opt)
 		if err != nil {

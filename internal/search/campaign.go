@@ -35,8 +35,7 @@ type ShardResult struct {
 // outcome off Result once Done. Search is exactly this loop with one range
 // per generation.
 type Campaign struct {
-	opt   Options
-	notes []string
+	opt Options
 
 	// pending holds the generation awaiting evaluation. Its candidate IDs
 	// are contiguous: pending[i].id == pending[0].id + i.
@@ -61,8 +60,7 @@ type Campaign struct {
 // NewCampaign validates opt, fills defaults, and stages the initial
 // generation: the unmutated base (candidate 0) plus every seed.
 func NewCampaign(opt Options) (*Campaign, error) {
-	notes, err := normalize(&opt)
-	if err != nil {
+	if err := normalize(&opt); err != nil {
 		return nil, err
 	}
 	n := opt.Net.N()
@@ -70,7 +68,7 @@ func NewCampaign(opt Options) (*Campaign, error) {
 	for _, s := range opt.Seeds {
 		initial = append(initial, candidate{
 			id:     len(initial),
-			script: delayScript{delays: s.Script},
+			script: s.Script,
 			rates:  make([]rat.Rat, n),
 			scheds: s.Schedules,
 		})
@@ -82,7 +80,6 @@ func NewCampaign(opt Options) (*Campaign, error) {
 	}
 	return &Campaign{
 		opt:     opt,
-		notes:   notes,
 		pending: initial,
 		seen:    seen,
 		nextID:  len(initial),
@@ -266,6 +263,5 @@ func (c *Campaign) Result() (*Result, error) {
 		Evaluated:      c.evaluated,
 		EngineSteps:    c.engineSteps,
 		CandidateSteps: c.candidateSteps,
-		Notes:          c.notes,
 	}, nil
 }

@@ -63,12 +63,14 @@ type Decision struct {
 
 // DecisionLog is an engine observer that captures every per-message delay
 // decision from the MsgRecord stream, in send order, and converts the run
-// into a replayable script for engine.ScriptedAdversary. Attach it with
+// into a replayable engine.Script for engine.ScriptedAdversary (sorted by
+// message key, built once per log and cached). Attach it with
 // Engine.Observe before the first step to capture the complete run.
 type DecisionLog struct {
 	net       *network.Network
 	decisions []Decision
-	events    uint64 // dispatched events seen so far (== Engine.Steps())
+	events    uint64        // dispatched events seen so far (== Engine.Steps())
+	script    engine.Script // Script's cache; nil until built or after a new decision
 }
 
 // NewDecisionLog returns a log for runs over net (needed to recover each
@@ -108,6 +110,7 @@ func (l *DecisionLog) OnSend(rec trace.MsgRecord) {
 		// to replay or mutate.
 		return
 	}
+	l.script = nil
 	l.decisions = append(l.decisions, Decision{
 		Key:      rec.Key,
 		SendReal: rec.SendReal,
@@ -127,30 +130,42 @@ func (l *DecisionLog) Len() int { return len(l.decisions) }
 // not modify the returned slice.
 func (l *DecisionLog) Decisions() []Decision { return l.decisions }
 
-// Script converts the captured run into a replayable delay script.
-func (l *DecisionLog) Script() map[trace.MsgKey]rat.Rat {
-	out := make(map[trace.MsgKey]rat.Rat, len(l.decisions))
-	for _, d := range l.decisions {
-		out[d.Key] = d.Delay
+// Script returns the captured run as a replayable delay script. It is built
+// on first use and cached until the log captures another decision, so every
+// candidate and trunk replaying one log shares one Script.
+func (l *DecisionLog) Script() engine.Script {
+	if l.script == nil {
+		l.script = mustScript(l.decisions)
 	}
-	return out
+	return l.script
 }
 
 // ScriptPrefix converts the first k decisions into a script; decisions
 // beyond the prefix are left to a tail adversary at replay time. k is
 // clamped to [0, Len()].
-func (l *DecisionLog) ScriptPrefix(k int) map[trace.MsgKey]rat.Rat {
-	if k < 0 {
-		k = 0
+func (l *DecisionLog) ScriptPrefix(k int) engine.Script {
+	return mustScript(l.decisions[:min(max(k, 0), len(l.decisions))])
+}
+
+// scriptOf builds the script of a run of decisions; it fails when two of
+// them price the same message.
+func scriptOf(decs []Decision) (engine.Script, error) {
+	entries := make([]engine.ScriptEntry, len(decs))
+	for i, d := range decs {
+		entries[i] = engine.ScriptEntry{Key: d.Key, Delay: d.Delay}
 	}
-	if k > len(l.decisions) {
-		k = len(l.decisions)
+	return engine.NewScript(entries)
+}
+
+// mustScript is scriptOf on a log's decisions, whose keys are unique: a live
+// log's per-pair sequence numbers never repeat, and UnmarshalJSON rejects a
+// log whose keys do.
+func mustScript(decs []Decision) engine.Script {
+	s, err := scriptOf(decs)
+	if err != nil {
+		panic(err)
 	}
-	out := make(map[trace.MsgKey]rat.Rat, k)
-	for _, d := range l.decisions[:k] {
-		out[d.Key] = d.Delay
-	}
-	return out
+	return s
 }
 
 // Scripted wraps the captured script in a replaying adversary with the given
@@ -210,17 +225,28 @@ func (l *DecisionLog) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON decodes a log serialized by MarshalJSON. The decoded log
 // supports Script, ScriptPrefix, Scripted, Decisions, and Clone exactly as
 // the original did; it is not attached to a network, so it must not be used
-// as a live engine observer (see MarshalJSON).
+// as a live engine observer (see MarshalJSON). Input no run can produce is
+// rejected: a negative or self-addressed endpoint pair, a delay outside
+// [0, bound], an event index below its predecessor's, or two decisions for
+// one message.
 func (l *DecisionLog) UnmarshalJSON(data []byte) error {
 	var w decisionLogWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	l.net = nil
-	l.events = w.Events
-	l.decisions = make([]Decision, len(w.Decisions))
+	decs := make([]Decision, len(w.Decisions))
 	for i, d := range w.Decisions {
-		l.decisions[i] = Decision{
+		switch {
+		case d.From < 0 || d.To < 0:
+			return fmt.Errorf("search: decision %d: negative endpoint in %d→%d", i, d.From, d.To)
+		case d.From == d.To:
+			return fmt.Errorf("search: decision %d: message from node %d to itself", i, d.From)
+		case d.Delay.Sign() < 0 || d.Delay.Greater(d.Bound):
+			return fmt.Errorf("search: decision %d (%d→%d seq %d): delay %s outside [0, %s]", i, d.From, d.To, d.Seq, d.Delay, d.Bound)
+		case i > 0 && d.Event < w.Decisions[i-1].Event:
+			return fmt.Errorf("search: decision %d: event %d precedes decision %d's event %d", i, d.Event, i-1, w.Decisions[i-1].Event)
+		}
+		decs[i] = Decision{
 			Key:      trace.MsgKey{From: d.From, To: d.To, Seq: d.Seq},
 			SendReal: d.SendReal,
 			Delay:    d.Delay,
@@ -228,5 +254,10 @@ func (l *DecisionLog) UnmarshalJSON(data []byte) error {
 			Event:    d.Event,
 		}
 	}
+	script, err := scriptOf(decs)
+	if err != nil {
+		return fmt.Errorf("search: decoded decision log: %w", err)
+	}
+	l.net, l.decisions, l.events, l.script = nil, decs, w.Events, script
 	return nil
 }

@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -21,10 +22,9 @@ func key(c candidate) string {
 	for i, r := range c.rates {
 		fmt.Fprintf(&b, "r%d=%s;", i, r.Key())
 	}
-	script := c.script.materialize(nil)
-	entries := make([]string, 0, len(script))
-	for k, v := range script {
-		entries = append(entries, fmt.Sprintf("%d>%d#%d=%s", k.From, k.To, k.Seq, v.Key()))
+	entries := make([]string, 0, len(c.script))
+	for _, e := range c.script {
+		entries = append(entries, fmt.Sprintf("%d>%d#%d=%s", e.Key.From, e.Key.To, e.Key.Seq, e.Delay.Key()))
 	}
 	sort.Strings(entries)
 	b.WriteString(strings.Join(entries, ";"))
@@ -37,6 +37,18 @@ func key(c candidate) string {
 		}
 	}
 	return b.String()
+}
+
+// newScript rebuilds s through NewScript from its entries in reverse order.
+func newScript(t *testing.T, s engine.Script) engine.Script {
+	t.Helper()
+	entries := slices.Clone(s)
+	slices.Reverse(entries)
+	out, err := engine.NewScript(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // searchBenchOpts is the two-node d = 32 rate-window search the repository
@@ -186,13 +198,13 @@ func TestCandidateIdentityMatchesCanonicalKey(t *testing.T) {
 // reached through two different parent logs is still recognized as equal.
 func TestSeenSetForcedCollision(t *testing.T) {
 	opt := searchBenchOpts(t, 1)
-	if _, err := normalize(&opt); err != nil {
+	if err := normalize(&opt); err != nil {
 		t.Fatal(err)
 	}
 	n := opt.Net.N()
 	base := candidate{rates: make([]rat.Rat, n)}
-	evA := evaluate(opt, base, nil)
-	evB := evaluate(opt, base, nil)
+	evA := evaluate(opt, base)
+	evB := evaluate(opt, base)
 	if evA.err != nil || evB.err != nil {
 		t.Fatal(evA.err, evB.err)
 	}
@@ -201,8 +213,8 @@ func TestSeenSetForcedCollision(t *testing.T) {
 		t.Fatalf("want two distinct logs of at least 2 decisions, got %d", logA.Len())
 	}
 	decs := logA.Decisions()
-	edit := func(log *DecisionLog, idx int, v rat.Rat) delayScript {
-		return delayScript{log: log, edited: true, edit: idx, delay: v}
+	edit := func(log *DecisionLog, idx int, v rat.Rat) engine.Script {
+		return log.Script().With(log.decisions[idx].Key, v)
 	}
 	other := func(idx int) rat.Rat { // a delay differing from the realized one
 		if decs[idx].Delay.IsZero() {
@@ -236,16 +248,16 @@ func TestSeenSetForcedCollision(t *testing.T) {
 		same bool
 	}{
 		{"nil override vs equal-segment override",
-			candidate{script: delayScript{log: logA}, rates: make([]rat.Rat, n)},
-			candidate{script: delayScript{log: logA}, rates: make([]rat.Rat, n), scheds: unitScheds()},
+			candidate{script: logA.Script(), rates: make([]rat.Rat, n)},
+			candidate{script: logA.Script(), rates: make([]rat.Rat, n), scheds: unitScheds()},
 			false},
 		{"equal overrides built separately",
-			candidate{script: delayScript{log: logA}, rates: make([]rat.Rat, n), scheds: unitScheds()},
-			candidate{script: delayScript{log: logA}, rates: make([]rat.Rat, n), scheds: unitScheds()},
+			candidate{script: logA.Script(), rates: make([]rat.Rat, n), scheds: unitScheds()},
+			candidate{script: logA.Script(), rates: make([]rat.Rat, n), scheds: unitScheds()},
 			true},
 		{"rates differ in one node",
-			candidate{script: delayScript{log: logA}, rates: ratesWith(1, rat.MustFrac(1, 2))},
-			candidate{script: delayScript{log: logA}, rates: ratesWith(1, rat.MustFrac(3, 2))},
+			candidate{script: logA.Script(), rates: ratesWith(1, rat.MustFrac(1, 2))},
+			candidate{script: logA.Script(), rates: ratesWith(1, rat.MustFrac(3, 2))},
 			false},
 		{"same parent, different edited decision",
 			candidate{script: edit(logA, 0, other(0)), rates: make([]rat.Rat, n)},
@@ -260,27 +272,27 @@ func TestSeenSetForcedCollision(t *testing.T) {
 			candidate{script: edit(logA, 1, other(1)), rates: make([]rat.Rat, n)},
 			true},
 		{"same content from two parent logs",
-			candidate{script: delayScript{log: logA}, rates: make([]rat.Rat, n)},
-			candidate{script: delayScript{log: logB}, rates: make([]rat.Rat, n)},
+			candidate{script: logA.Script(), rates: make([]rat.Rat, n)},
+			candidate{script: logB.Script(), rates: make([]rat.Rat, n)},
 			true},
 		{"same edit from two parent logs",
 			candidate{script: edit(logA, 1, other(1)), rates: make([]rat.Rat, n)},
 			candidate{script: edit(logB, 1, other(1)), rates: make([]rat.Rat, n)},
 			true},
-		{"edited log vs its explicit map",
+		{"edited log vs the same entries through NewScript",
 			candidate{script: edit(logA, 0, other(0)), rates: make([]rat.Rat, n)},
-			candidate{script: delayScript{delays: edit(logB, 0, other(0)).materialize(nil)}, rates: make([]rat.Rat, n)},
+			candidate{script: newScript(t, edit(logB, 0, other(0))), rates: make([]rat.Rat, n)},
 			true},
 		{"same entries in another send order",
 			candidate{script: edit(logA, 0, other(0)), rates: make([]rat.Rat, n)},
 			candidate{script: edit(reversed, len(decs)-1, other(0)), rates: make([]rat.Rat, n)},
 			true},
 		{"one decision fewer",
-			candidate{script: delayScript{log: logA}, rates: make([]rat.Rat, n)},
-			candidate{script: delayScript{log: truncated}, rates: make([]rat.Rat, n)},
+			candidate{script: logA.Script(), rates: make([]rat.Rat, n)},
+			candidate{script: truncated.Script(), rates: make([]rat.Rat, n)},
 			false},
 		{"edit vs unedited parent",
-			candidate{script: delayScript{log: logA}, rates: make([]rat.Rat, n)},
+			candidate{script: logA.Script(), rates: make([]rat.Rat, n)},
 			candidate{script: edit(logB, 0, other(0)), rates: make([]rat.Rat, n)},
 			false},
 	}

@@ -35,10 +35,7 @@
 // the trunk tail's state at the fork point — exactly the state a full
 // re-simulation of that candidate would have reached there, preserving the
 // byte-identical-to-resim guarantee. A stateful Base that cannot be cloned
-// is never forked or shared across workers: normalize degrades the whole
-// search to serial full re-simulation on the one shared instance — state
-// carrying across evaluations in candidate order — and says exactly that in
-// Result.Notes.
+// is rejected by normalize before anything runs.
 package search
 
 import (
@@ -47,8 +44,6 @@ import (
 
 	"gcs/internal/core"
 	"gcs/internal/engine"
-	"gcs/internal/rat"
-	"gcs/internal/trace"
 )
 
 // evalAll evaluates every candidate on a bounded worker pool and returns the
@@ -57,20 +52,6 @@ import (
 // events actually dispatched — trunk replays included.
 func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 	results := make([]evaluation, len(cands))
-
-	// Serial fallback (stateful, non-cloneable Base): the single shared tail
-	// instance must see one run at a time, in candidate-index order, so the
-	// outcome is at least deterministic in Options. Its state carries from
-	// each run into the next — see the Options.Base doc and the note
-	// normalize records.
-	if opt.serialEval {
-		var dispatched uint64
-		for i := range cands {
-			results[i] = evaluate(opt, cands[i], nil)
-			dispatched += results[i].cost
-		}
-		return results, dispatched
-	}
 
 	// Partition: delay mutants group by parent log, everything else is
 	// from-scratch work.
@@ -100,25 +81,9 @@ func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 		}()
 	}
 
-	// Each parent log's realized script is built once, here, and shared
-	// read-only by its trunk and by every candidate that replays it
-	// unedited; an edited script copies it on the worker that evaluates it.
-	realized := make(map[*DecisionLog]map[trace.MsgKey]rat.Rat)
-	realize := func(l *DecisionLog) map[trace.MsgKey]rat.Rat {
-		if l == nil {
-			return nil
-		}
-		m, ok := realized[l]
-		if !ok {
-			m = l.Script()
-			realized[l] = m
-		}
-		return m
-	}
 	for _, i := range scratch {
 		i := i
-		script := realize(cands[i].script.log)
-		spawn(func() { results[i] = evaluate(opt, cands[i], script) })
+		spawn(func() { results[i] = evaluate(opt, cands[i]) })
 	}
 	trunkSteps := make([]uint64, len(order))
 	for gi, plog := range order {
@@ -131,8 +96,7 @@ func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 			}
 			return idxs[a] < idxs[b]
 		})
-		script := realize(plog)
-		spawn(func() { trunkSteps[gi] = runTrunk(opt, cands, idxs, plog, script, results, spawn) })
+		spawn(func() { trunkSteps[gi] = runTrunk(opt, cands, idxs, plog, results, spawn) })
 	}
 	wg.Wait()
 
@@ -152,9 +116,9 @@ func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 // event at/after their mutated window's start, with the mutated schedule
 // swapped into the fork (and into the cloned tracker). Both orderings are
 // monotone, so the trunk only ever steps forward and is replayed at most
-// once per parent. script is plog's realized script, shared read-only. It
-// returns the number of events the trunk itself dispatched.
-func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, script map[trace.MsgKey]rat.Rat, results []evaluation, spawn func(func())) uint64 {
+// once per parent. It returns the number of events the trunk itself
+// dispatched.
+func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, results []evaluation, spawn func(func())) uint64 {
 	var delays, wins []int
 	for _, i := range idxs {
 		if cands[i].swapSched != nil {
@@ -193,7 +157,7 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, scr
 	log := NewDecisionLog(opt.Net)
 	trunk, err := engine.New(opt.Net,
 		engine.WithProtocol(opt.Protocol),
-		engine.WithAdversary(engine.ScriptedAdversary{Delays: script, Fallback: baseTail(opt)}),
+		engine.WithAdversary(engine.ScriptedAdversary{Delays: plog.Script(), Fallback: baseTail(opt)}),
 		engine.WithSchedules(scheds),
 		engine.WithRho(opt.Rho),
 		engine.WithObservers(skew, log),
@@ -234,7 +198,7 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, scr
 		if sc, ok := fork.Adversary().(engine.ScriptedAdversary); ok && sc.Fallback != nil {
 			tail = sc.Fallback
 		}
-		if err := fork.SetAdversary(engine.ScriptedAdversary{Delays: c.script.materialize(script), Fallback: tail}); err != nil {
+		if err := fork.SetAdversary(engine.ScriptedAdversary{Delays: c.script, Fallback: tail}); err != nil {
 			results[i] = evaluation{cand: c, err: err}
 			return
 		}
@@ -313,16 +277,15 @@ func finish(opt Options, cand candidate, eng *engine.Engine, skew *core.SkewTrac
 }
 
 // evaluate re-simulates one candidate from scratch and reads the objective
-// off the online trackers. realized is the candidate script's realized log
-// script when the caller already holds one (see delayScript.materialize).
-func evaluate(opt Options, cand candidate, realized map[trace.MsgKey]rat.Rat) evaluation {
+// off the online trackers.
+func evaluate(opt Options, cand candidate) evaluation {
 	scheds := effectiveScheds(opt, cand)
 	skew, err := core.NewSkewTracker(opt.Net, scheds)
 	if err != nil {
 		return evaluation{cand: cand, err: err}
 	}
 	log := NewDecisionLog(opt.Net)
-	adv := engine.ScriptedAdversary{Delays: cand.script.materialize(realized), Fallback: baseTail(opt)}
+	adv := engine.ScriptedAdversary{Delays: cand.script, Fallback: baseTail(opt)}
 	eng, err := engine.New(opt.Net,
 		engine.WithProtocol(opt.Protocol),
 		engine.WithAdversary(adv),

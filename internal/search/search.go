@@ -2,7 +2,6 @@ package search
 
 import (
 	"fmt"
-	"maps"
 	"runtime"
 	"sort"
 	"strings"
@@ -67,8 +66,9 @@ func ParseObjective(s string) (Objective, error) {
 type Seed struct {
 	// Name labels the seed in error messages.
 	Name string
-	// Script is the seed's delay script, replayed over the Base tail.
-	Script map[trace.MsgKey]rat.Rat
+	// Script is the seed's delay script (an engine.Script, sorted by
+	// message key), replayed over the Base tail. It is shared, not copied.
+	Script engine.Script
 	// Schedules, when non-nil, replaces the base hardware schedules for this
 	// candidate (length must equal the node count). The constructions' rate
 	// surgery (e.g. the Add Skew γ speed-up) arrives through this field.
@@ -94,14 +94,9 @@ type Options struct {
 	// evaluation then runs against an independent clone of its initial
 	// state, and prefix-cached forks clone the trunk tail's state at the
 	// fork point, so results stay byte-identical to full re-simulation. A
-	// Base that observes the run without being cloneable cannot be forked
-	// or replicated: the search degrades to serial full re-simulation
-	// (DisablePrefixCache, Workers = 1) with the single Base instance
-	// carried through every evaluation in candidate order — deterministic
-	// in Options, but candidate values then depend on the evaluations
-	// before them and Result.Script is not independently replayable
-	// against a fresh adversary. Result.Notes says so; prefer a cloneable
-	// Base.
+	// Base that observes the run without being cloneable is rejected, as
+	// Engine.Fork rejects it: no evaluation could start from its initial
+	// state.
 	Base engine.Adversary
 
 	// Seeds are additional initial candidates (certified constructions,
@@ -163,12 +158,6 @@ type Options struct {
 	// in any way.
 	Metrics       *Metrics
 	EngineMetrics *engine.Metrics
-
-	// serialEval forces in-order, single-threaded from-scratch evaluation.
-	// normalize sets it when Base is stateful but not cloneable: the one
-	// shared Base instance must then see candidate runs one at a time, in a
-	// deterministic order.
-	serialEval bool
 }
 
 // Result is the outcome of a search: the best adversary found, as a
@@ -192,7 +181,7 @@ type Result struct {
 	// Script is the complete realized decision log of the best run: replay
 	// it with ReplayAdversary (or engine.ScriptedAdversary + the base tail)
 	// to reproduce the execution exactly.
-	Script map[trace.MsgKey]rat.Rat
+	Script engine.Script
 	// Rates holds per-node constant-rate overrides; a zero Rat means the
 	// node keeps its base schedule. When the winner carries windowed surgery
 	// or seed schedules that no constant rate describes, the corresponding
@@ -215,11 +204,6 @@ type Result struct {
 	// EngineSteps is the prefix-cache speedup.
 	EngineSteps    uint64
 	CandidateSteps uint64
-	// Notes records evaluation-strategy degradations the search applied —
-	// currently the serial from-scratch fallback for a stateful,
-	// non-cloneable Base — so a caller (or a log reader) can see why a run
-	// evaluated slower than configured.
-	Notes []string
 }
 
 // StepsPerCandidate returns the engine events dispatched per evaluated
@@ -270,7 +254,7 @@ func (r *Result) ReplaySchedules(base []*clock.Schedule) []*clock.Schedule {
 type candidate struct {
 	id     int
 	hash   uint64
-	script delayScript
+	script engine.Script
 	rates  []rat.Rat
 	scheds []*clock.Schedule // non-nil: full base-schedule override
 
@@ -296,90 +280,11 @@ type candidate struct {
 	divTime   rat.Rat
 }
 
-// delayScript is a candidate's delay script, held lazily. The base and the
-// seeds carry an explicit map; a mutant carries the realized decision log it
-// was enumerated from plus at most one replaced delay. No map is built until
-// the candidate is evaluated, so a mutant rejected as a duplicate costs none.
-type delayScript struct {
-	delays map[trace.MsgKey]rat.Rat // the explicit script when log is nil
-	log    *DecisionLog             // non-nil: log's realized decisions...
-	edited bool                     // ...with decision edit's delay...
-	edit   int
-	delay  rat.Rat // ...replaced by delay
-}
-
-// materialize returns the script as a ScriptedAdversary map. realized is
-// log.Script() when the caller already holds it, shared read-only, or nil:
-// an unedited script returns it as is, an edited one a private copy.
-func (s delayScript) materialize(realized map[trace.MsgKey]rat.Rat) map[trace.MsgKey]rat.Rat {
-	if s.log == nil {
-		return s.delays
-	}
-	if realized == nil {
-		realized = s.log.Script()
-	} else if s.edited {
-		realized = maps.Clone(realized)
-	}
-	if s.edited {
-		realized[s.log.decisions[s.edit].Key] = s.delay
-	}
-	return realized
-}
-
-// at returns the script's delay for decision i of its log.
-func (s delayScript) at(i int) rat.Rat {
-	if s.edited && s.edit == i {
-		return s.delay
-	}
-	return s.log.decisions[i].Delay
-}
-
-// equal reports whether two scripts hold the same entries. A log's message
-// keys are unique (per-pair sequence numbers), so scripts over one log can
-// differ only at their edits, and scripts over two logs that sent the same
-// messages in the same order compare position by position; neither builds a
-// map. Any other pair is materialized and compared entry by entry.
-func (s delayScript) equal(o delayScript) bool {
-	if s.log != nil && o.log != nil {
-		if s.log == o.log {
-			return (!s.edited || s.delay.Equal(o.at(s.edit))) &&
-				(!o.edited || o.delay.Equal(s.at(o.edit)))
-		}
-		a, b := s.log.decisions, o.log.decisions
-		if len(a) != len(b) {
-			return false
-		}
-		i := 0
-		for i < len(a) && a[i].Key == b[i].Key {
-			i++
-		}
-		if i == len(a) {
-			for i := range a {
-				if !s.at(i).Equal(o.at(i)) {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	a, b := s.materialize(nil), o.materialize(nil)
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if w, ok := b[k]; !ok || !v.Equal(w) {
-			return false
-		}
-	}
-	return true
-}
-
 // identity is what deduplication compares: a candidate's script content,
 // its rates by position, and its schedule override, where no override is
-// distinct from an override equal to the base schedules. It holds the script
-// lazily and never a materialized map.
+// distinct from an override equal to the base schedules.
 type identity struct {
-	script delayScript
+	script engine.Script
 	rates  []rat.Rat
 	scheds []*clock.Schedule
 }
@@ -400,7 +305,7 @@ func (a identity) equal(b identity) bool {
 			return false
 		}
 	}
-	return a.script.equal(b.script)
+	return a.script.Equal(b.script)
 }
 
 // seenSet is a campaign's dedupe set: every candidate identity enumerated so
@@ -458,20 +363,10 @@ func entryHash(k trace.MsgKey, v rat.Rat) uint64 {
 }
 
 // scriptHash sums a script's entry hashes.
-func scriptHash(s delayScript) uint64 {
+func scriptHash(s engine.Script) uint64 {
 	var sum uint64
-	if s.log == nil {
-		for k, v := range s.delays {
-			sum += entryHash(k, v)
-		}
-		return sum
-	}
-	for _, d := range s.log.decisions {
-		sum += entryHash(d.Key, d.Delay)
-	}
-	if s.edited {
-		d := s.log.decisions[s.edit]
-		sum += entryHash(d.Key, s.delay) - entryHash(d.Key, d.Delay)
+	for _, e := range s {
+		sum += entryHash(e.Key, e.Delay)
 	}
 	return sum
 }
@@ -545,20 +440,19 @@ func fullSteps(evals []evaluation) uint64 {
 	return total
 }
 
-// normalize validates opt, fills defaults, and returns notes describing any
-// evaluation-strategy degradation it had to apply.
-func normalize(opt *Options) ([]string, error) {
+// normalize validates opt and fills defaults.
+func normalize(opt *Options) error {
 	if opt.Net == nil {
-		return nil, fmt.Errorf("search: nil network")
+		return fmt.Errorf("search: nil network")
 	}
 	if opt.Protocol == nil {
-		return nil, fmt.Errorf("search: nil protocol")
+		return fmt.Errorf("search: nil protocol")
 	}
 	if opt.Duration.Sign() <= 0 {
-		return nil, fmt.Errorf("search: non-positive duration %s", opt.Duration)
+		return fmt.Errorf("search: non-positive duration %s", opt.Duration)
 	}
 	if opt.Objective == ObjectiveGradientMargin && opt.Gradient == nil {
-		return nil, fmt.Errorf("search: ObjectiveGradientMargin needs a Gradient func")
+		return fmt.Errorf("search: ObjectiveGradientMargin needs a Gradient func")
 	}
 	n := opt.Net.N()
 	if opt.Schedules == nil {
@@ -568,15 +462,15 @@ func normalize(opt *Options) ([]string, error) {
 		}
 	}
 	if len(opt.Schedules) != n {
-		return nil, fmt.Errorf("search: %d schedules for %d nodes", len(opt.Schedules), n)
+		return fmt.Errorf("search: %d schedules for %d nodes", len(opt.Schedules), n)
 	}
 	for _, s := range opt.Seeds {
 		if s.Schedules != nil && len(s.Schedules) != n {
-			return nil, fmt.Errorf("search: seed %q has %d schedules for %d nodes", s.Name, len(s.Schedules), n)
+			return fmt.Errorf("search: seed %q has %d schedules for %d nodes", s.Name, len(s.Schedules), n)
 		}
 	}
 	if opt.MutateTail.Sign() < 0 || opt.MutateTail.Greater(rat.FromInt(1)) {
-		return nil, fmt.Errorf("search: MutateTail %s outside [0, 1]", opt.MutateTail)
+		return fmt.Errorf("search: MutateTail %s outside [0, 1]", opt.MutateTail)
 	}
 	// Zero selects a count's default; a negative count is an error.
 	for _, c := range []struct {
@@ -584,11 +478,11 @@ func normalize(opt *Options) ([]string, error) {
 		v    int
 	}{{"Rounds", opt.Rounds}, {"Beam", opt.Beam}, {"DelayMutations", opt.DelayMutations}, {"Workers", opt.Workers}, {"RateWindows", opt.RateWindows}} {
 		if c.v < 0 {
-			return nil, fmt.Errorf("search: negative %s %d", c.name, c.v)
+			return fmt.Errorf("search: negative %s %d", c.name, c.v)
 		}
 	}
 	if opt.RateWindows > 0 && !opt.DisableRateMutations && opt.Rho.Sign() <= 0 {
-		return nil, fmt.Errorf("search: RateWindows %d with drift bound ρ=%s: windowed rate surgery pins rates to 1−ρ and 1+ρ, which under ρ <= 0 never changes a schedule, so the windows would silently produce no mutants; set Rho > 0, or RateWindows = 0 to disable windowed surgery", opt.RateWindows, opt.Rho)
+		return fmt.Errorf("search: RateWindows %d with drift bound ρ=%s: windowed rate surgery pins rates to 1−ρ and 1+ρ, which under ρ <= 0 never changes a schedule, so the windows would silently produce no mutants; set Rho > 0, or RateWindows = 0 to disable windowed surgery", opt.RateWindows, opt.Rho)
 	}
 	if opt.Base == nil {
 		opt.Base = engine.Midpoint()
@@ -605,35 +499,21 @@ func normalize(opt *Options) ([]string, error) {
 	if opt.Workers == 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	var notes []string
 	if _, ok := engine.CloneAdversaryState(opt.Base); !ok {
-		// The one Base instance cannot be forked or replicated: evaluating
-		// candidates concurrently would race on its state, and forking a
-		// trunk would silently share it across branches. Degrade to serial
-		// full re-simulation. This is deterministic in Options but weaker
-		// than the cloneable path: the shared instance's state carries from
-		// one candidate run into the next, so candidate values depend on
-		// evaluation order and the winning script does not replay
-		// independently — which the note states outright.
-		opt.DisablePrefixCache = true
-		opt.Workers = 1
-		opt.serialEval = true
-		notes = append(notes, fmt.Sprintf(
-			"base adversary %T is stateful but not cloneable (observes the run without implementing engine.StatefulAdversary): prefix caching and parallel evaluation disabled; candidates re-simulated serially with the one shared adversary instance, whose state carries across evaluations in candidate order — deterministic, but Script/Best are not independently replayable; implement CloneAdversary for exact semantics", opt.Base))
+		// Every evaluation, trunk and fork needs its own copy of the Base's
+		// state; one shared instance would carry state from run to run, and
+		// the winning script would not replay against a fresh adversary.
+		return fmt.Errorf("search: base adversary %T is stateful but not cloneable (it observes the run without a usable CloneAdversary); implement engine.StatefulAdversary", opt.Base)
 	}
-	return notes, nil
+	return nil
 }
 
 // baseTail returns the tail adversary one evaluation should run against: an
 // independent clone of the Base's initial state when the Base is stateful,
-// the Base itself when stateless. On the serial fallback path (stateful,
-// not cloneable) the shared instance is returned — evaluations are then
-// strictly sequential.
+// the Base itself when stateless (normalize rejects a Base that is neither).
 func baseTail(opt Options) engine.Adversary {
-	if tail, ok := engine.CloneAdversaryState(opt.Base); ok {
-		return tail
-	}
-	return opt.Base
+	tail, _ := engine.CloneAdversaryState(opt.Base)
+	return tail
 }
 
 // effectiveScheds materializes the hardware schedules a candidate runs
@@ -698,13 +578,13 @@ var delaySnaps = []rat.Rat{{}, rat.MustFrac(1, 2), rat.FromInt(1)}
 // and evaluate from scratch.
 //
 // Each mutant carries its identity hash. The parent's script sum costs one
-// pass over its decision log; a delay mutant's sum is that sum with one entry
-// swapped, and rate and window mutants keep the parent's script unchanged.
+// pass over its script; a delay mutant's sum is that sum with one entry
+// swapped, and rate and window mutants share the parent's script unchanged.
 func mutations(opt Options, parent evaluation) []candidate {
 	var out []candidate
 
-	realized := delayScript{log: parent.log}
-	sum := scriptHash(realized)
+	parentScript := parent.log.Script()
+	sum := scriptHash(parentScript)
 	if !opt.DisableRateMutations {
 		one := rat.FromInt(1)
 		rateChoices := []rat.Rat{one.Sub(opt.Rho), one, one.Add(opt.Rho)}
@@ -718,13 +598,13 @@ func mutations(opt Options, parent evaluation) []candidate {
 				rates[node] = r
 				out = append(out, candidate{
 					hash:   fold(sum, clocksHash(rates, parent.cand.scheds)),
-					script: realized,
+					script: parentScript,
 					rates:  rates,
 					scheds: parent.cand.scheds,
 				})
 			}
 		}
-		out = append(out, windowMutations(opt, parent, realized, sum)...)
+		out = append(out, windowMutations(opt, parent, parentScript, sum)...)
 	}
 
 	clocks := clocksHash(parent.cand.rates, parent.cand.scheds)
@@ -738,7 +618,7 @@ func mutations(opt Options, parent evaluation) []candidate {
 			}
 			out = append(out, candidate{
 				hash:   fold(sum-entryHash(d.Key, d.Delay)+entryHash(d.Key, v), clocks),
-				script: delayScript{log: parent.log, edited: true, edit: idx, delay: v},
+				script: parentScript.With(d.Key, v),
 				rates:  parent.cand.rates,
 				scheds: parent.cand.scheds,
 				parent: parent.log,
@@ -758,7 +638,7 @@ func mutations(opt Options, parent evaluation) []candidate {
 // untouched, the mutant shares the parent's execution prefix up to the
 // window start: the candidate carries prefix lineage and the trunk
 // scheduler forks it there, swapping the schedule into the fork.
-func windowMutations(opt Options, parent evaluation, realized delayScript, sum uint64) []candidate {
+func windowMutations(opt Options, parent evaluation, parentScript engine.Script, sum uint64) []candidate {
 	if opt.RateWindows <= 0 || opt.Rho.Sign() <= 0 {
 		return nil
 	}
@@ -781,7 +661,7 @@ func windowMutations(opt Options, parent evaluation, realized delayScript, sum u
 					continue
 				}
 				m := candidate{
-					script:    realized,
+					script:    parentScript,
 					rates:     make([]rat.Rat, opt.Net.N()),
 					scheds:    parentScheds,
 					parent:    parent.log,

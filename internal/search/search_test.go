@@ -55,14 +55,8 @@ func resultsEqual(t *testing.T, a, b *Result) {
 		!a.Witness.Skew.Equal(b.Witness.Skew) || !a.Witness.At.Equal(b.Witness.At) {
 		t.Fatalf("witness differs: %+v vs %+v", a.Witness, b.Witness)
 	}
-	if len(a.Script) != len(b.Script) {
-		t.Fatalf("script sizes differ: %d vs %d", len(a.Script), len(b.Script))
-	}
-	for k, v := range a.Script {
-		bv, ok := b.Script[k]
-		if !ok || !v.Equal(bv) {
-			t.Fatalf("script entry %v differs: %s vs %s (present=%v)", k, v, bv, ok)
-		}
+	if !a.Script.Equal(b.Script) {
+		t.Fatalf("scripts differ:\n%v\nvs\n%v", a.Script, b.Script)
 	}
 	if len(a.Rates) != len(b.Rates) {
 		t.Fatalf("rates lengths differ: %d vs %d", len(a.Rates), len(b.Rates))
@@ -581,7 +575,7 @@ func TestDecisionLogRoundTrip(t *testing.T) {
 	tail := runWith(engine.ScriptedAdversary{Delays: prefix, Fallback: engine.Midpoint()})
 	half := rf(1, 2)
 	for _, d := range tail.Decisions() {
-		if want, ok := prefix[d.Key]; ok {
+		if want, ok := prefix.Lookup(d.Key); ok {
 			if !d.Delay.Equal(want) {
 				t.Fatalf("scripted decision %v delay %s, want %s", d.Key, d.Delay, want)
 			}

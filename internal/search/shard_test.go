@@ -2,6 +2,7 @@ package search
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -120,31 +121,15 @@ func TestShardCandidateStepsInvariant(t *testing.T) {
 	}
 }
 
-// TestSerialBaseCampaign: a stateful, non-cloneable Base runs the serial
-// fallback — the one shared instance sees every run in candidate order —
-// and the whole-pool campaign loop completes with a note saying so.
-func TestSerialBaseCampaign(t *testing.T) {
+// TestNonCloneableBaseRejectedByCampaign: NewCampaign refuses a stateful,
+// non-cloneable Base with the same error as Search, before staging any
+// generation.
+func TestNonCloneableBaseRejectedByCampaign(t *testing.T) {
 	opt := lineOpts(t, 3, 0)
 	opt.Base = &pollingAdversary{}
 	c, err := NewCampaign(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !c.Done() {
-		sr, err := c.EvaluateRange(0, c.NumPending())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Absorb([]*ShardResult{sr}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := c.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Notes) == 0 {
-		t.Fatal("serial fallback left no note")
+	if err == nil || !strings.Contains(err.Error(), "not cloneable") {
+		t.Fatalf("want a not-cloneable error, got campaign %v, error %v", c, err)
 	}
 }
 

@@ -47,9 +47,6 @@ func TestStatefulBasePrefixCacheMatchesFullResim(t *testing.T) {
 			t.Fatalf("workers=%d: prefix cache dispatched %d events, full resim %d; no sharing happened",
 				workers, cached.EngineSteps, scratch.EngineSteps)
 		}
-		if len(cached.Notes) != 0 {
-			t.Fatalf("cloneable stateful base triggered a degradation note: %v", cached.Notes)
-		}
 	}
 }
 
@@ -72,7 +69,7 @@ func TestStatefulBaseDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // pollingAdversary observes the run (stateful) but has no CloneAdversary:
-// the search must refuse to fork or parallelize it.
+// the search must refuse it.
 type pollingAdversary struct{ seen int }
 
 func (a *pollingAdversary) Delay(_, _ int, _ uint64, _ rat.Rat, bound rat.Rat) rat.Rat {
@@ -89,44 +86,15 @@ func (a *pollingAdversary) OnAction(act trace.Action) {
 func (a *pollingAdversary) OnSend(trace.MsgRecord)    {}
 func (a *pollingAdversary) OnDeliver(trace.MsgRecord) {}
 
-// TestNonCloneableBaseFallsBackSerial: a stateful, non-cloneable Base
-// degrades the search to serial from-scratch evaluation with a logged
-// reason — and the degraded search is still deterministic in Options.
-func TestNonCloneableBaseFallsBackSerial(t *testing.T) {
-	run := func() *Result {
-		t.Helper()
-		opt := lineOpts(t, 4, 8)
-		opt.Rounds = 2
-		opt.Base = &pollingAdversary{}
-		res, err := Search(opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a := run()
-	if len(a.Notes) != 1 || !strings.Contains(a.Notes[0], "not cloneable") {
-		t.Fatalf("expected a serial-fallback note, got %v", a.Notes)
-	}
-	// Full resim accounting: every dispatched event belongs to exactly one
-	// candidate, no trunk replays.
-	if a.EngineSteps != a.CandidateSteps {
-		t.Fatalf("serial fallback dispatched %d events for %d candidate steps; prefix sharing ran anyway",
-			a.EngineSteps, a.CandidateSteps)
-	}
-	b := run()
-	resultsEqual(t, a, b)
-}
-
-// TestStatelessBaseHasNoNotes: the common path is untouched by the
-// degradation machinery.
-func TestStatelessBaseHasNoNotes(t *testing.T) {
-	res, err := Search(lineOpts(t, 4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Notes) != 0 {
-		t.Fatalf("stateless base produced notes: %v", res.Notes)
+// TestNonCloneableBaseRejected: a stateful, non-cloneable Base fails the
+// search up front with a precise error. No evaluation could start from its
+// initial state, so no result would replay.
+func TestNonCloneableBaseRejected(t *testing.T) {
+	opt := lineOpts(t, 4, 8)
+	opt.Base = &pollingAdversary{}
+	res, err := Search(opt)
+	if err == nil || !strings.Contains(err.Error(), "*search.pollingAdversary is stateful but not cloneable") {
+		t.Fatalf("want a not-cloneable error, got result %v, error %v", res, err)
 	}
 }
 
@@ -138,14 +106,13 @@ func TestStatelessBaseHasNoNotes(t *testing.T) {
 // index.
 func TestPrefixSchedulerEdgeCases(t *testing.T) {
 	opt := lineOpts(t, 4, 2)
-	_, err := normalize(&opt)
-	if err != nil {
+	if err := normalize(&opt); err != nil {
 		t.Fatal(err)
 	}
 
 	// Capture a parent run: the unmutated base candidate.
 	parentCand := candidate{id: 0, rates: make([]rat.Rat, opt.Net.N())}
-	parent := evaluate(opt, parentCand, nil)
+	parent := evaluate(opt, parentCand)
 	if parent.err != nil {
 		t.Fatal(parent.err)
 	}
@@ -154,26 +121,24 @@ func TestPrefixSchedulerEdgeCases(t *testing.T) {
 		t.Fatalf("parent run captured only %d decisions", len(decs))
 	}
 
-	mutate := func(idx int) map[trace.MsgKey]rat.Rat {
-		s := parent.log.Script()
+	mutate := func(idx int) engine.Script {
 		d := decs[idx]
 		v := d.Bound // snap to the full bound; the base is Midpoint, so this diverges
 		if v.Equal(d.Delay) {
 			v = rat.Rat{}
 		}
-		s[d.Key] = v
-		return s
+		return parent.log.Script().With(d.Key, v)
 	}
 	cands := []candidate{
 		// Diverges at the first captured decision: the trunk must not replay
 		// a single event before forking.
-		{script: delayScript{delays: mutate(0)}, rates: parentCand.rates, parent: parent.log, divIdx: 0, divEvent: decs[0].Event},
+		{script: mutate(0), rates: parentCand.rates, parent: parent.log, divIdx: 0, divEvent: decs[0].Event},
 		// Bogus divergence event 0 (before any dispatched event): must fork
 		// from the initial state and still match from-scratch.
-		{script: delayScript{delays: mutate(0)}, rates: parentCand.rates, parent: parent.log, divIdx: 0, divEvent: 0},
+		{script: mutate(0), rates: parentCand.rates, parent: parent.log, divIdx: 0, divEvent: 0},
 		// Identical to the parent — divergence never occurs; the fork just
 		// replays the parent's tail.
-		{script: delayScript{delays: parent.log.Script()}, rates: parentCand.rates, parent: parent.log,
+		{script: parent.log.Script(), rates: parentCand.rates, parent: parent.log,
 			divIdx: len(decs) - 1, divEvent: decs[len(decs)-1].Event},
 	}
 	for i := range cands {
