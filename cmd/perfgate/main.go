@@ -166,7 +166,7 @@ func runAppend(headPath, historyPath, commit, message, repoURL string, now time.
 	if h.RepoURL != "" {
 		hc.URL = h.RepoURL + "/commit/" + commit
 	}
-	entry := perf.EntryFromBench(headBench, hc, now.UnixMilli(), nil)
+	entry := perf.EntryFromBench(headBench, hc, now.UnixMilli())
 	if len(entry.Benches) == 0 {
 		return fmt.Errorf("no benchmarks in %s — nothing to record", headPath)
 	}

@@ -196,6 +196,8 @@ type (
 	// Script is the one delay-script form: entries sorted by message key
 	// (From, To, Seq) with unique keys. Build one with NewScript or
 	// DecisionLog.Script; With derives an edited copy, Equal compares.
+	// Scripts are shared between adversaries, candidates and results, so
+	// never write an entry in place: derive every edit with With.
 	Script = engine.Script
 	// ScriptEntry is one scripted delay: a message key and its delay.
 	ScriptEntry = engine.ScriptEntry

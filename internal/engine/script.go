@@ -23,9 +23,10 @@ type ScriptEntry struct {
 // exactly when their entries are.
 //
 // Build a Script with NewScript (or DecisionLog.Script in internal/search)
-// and derive edits with With. A Script is never mutated in place, so any
-// number of adversaries and candidates may share one. New and SetAdversary
-// reject a ScriptedAdversary whose hand-built script is out of order.
+// and derive edits with With. Any number of adversaries and candidates may
+// share one Script, so callers must never write an entry in place. New and
+// SetAdversary reject a ScriptedAdversary whose hand-built script is out of
+// order.
 type Script []ScriptEntry
 
 // keyLess orders message keys by (From, To, Seq).
@@ -88,11 +89,14 @@ func (s Script) With(key trace.MsgKey, delay rat.Rat) Script {
 	return out
 }
 
+// Equal reports whether two entries have the same key and equal delays.
+func (e ScriptEntry) Equal(o ScriptEntry) bool {
+	return e.Key == o.Key && e.Delay.Equal(o.Delay)
+}
+
 // Equal reports whether two scripts hold the same keys with equal delays.
 func (s Script) Equal(o Script) bool {
-	return slices.EqualFunc(s, o, func(a, b ScriptEntry) bool {
-		return a.Key == b.Key && a.Delay.Equal(b.Delay)
-	})
+	return slices.EqualFunc(s, o, ScriptEntry.Equal)
 }
 
 // checkScripts verifies the Script order of every script along adv's

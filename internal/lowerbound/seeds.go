@@ -8,6 +8,7 @@ package lowerbound
 
 import (
 	"fmt"
+	"slices"
 
 	"gcs/internal/clock"
 	"gcs/internal/engine"
@@ -21,7 +22,7 @@ type AdversarySeed struct {
 	// Name labels the construction the seed came from.
 	Name string
 	// Script is the per-message delay script of the constructed execution,
-	// shared with the construction's config (a Script is never mutated).
+	// a private copy: writing its entries leaves the construction alone.
 	Script engine.Script
 	// Schedules are the construction's hardware schedules (rate surgery
 	// included), one per node.
@@ -37,7 +38,7 @@ func seedFromCfg(name string, cfg engine.Config) (AdversarySeed, error) {
 	}
 	return AdversarySeed{
 		Name:      name,
-		Script:    sa.Delays,
+		Script:    slices.Clone(sa.Delays),
 		Schedules: append([]*clock.Schedule(nil), cfg.Schedules...),
 	}, nil
 }

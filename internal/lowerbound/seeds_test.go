@@ -84,18 +84,23 @@ func TestMainTheoremSeedExports(t *testing.T) {
 	if len(seed.Script) == 0 {
 		t.Fatal("theorem seed exported an empty script")
 	}
-	// The exported script is the construction's own: a Script is never
-	// mutated, so the seed shares it, and an edit derived with With leaves
-	// the construction's script untouched.
+	// The exported script is a copy: writing an entry in place must not
+	// corrupt the result's own config.
 	sa := res.FinalCfg.Adversary.(engine.ScriptedAdversary)
 	if !seed.Script.Equal(sa.Delays) {
 		t.Fatal("theorem seed script differs from the construction's")
 	}
-	first := seed.Script[0]
-	edited := seed.Script.With(first.Key, first.Delay.Add(rat.FromInt(1)))
-	if d, _ := sa.Delays.Lookup(first.Key); !d.Equal(first.Delay) || edited.Equal(sa.Delays) {
-		t.Fatalf("editing the exported script changed the construction's script at %v", first.Key)
+	for i, e := range seed.Script {
+		if e.Delay.IsZero() {
+			continue
+		}
+		seed.Script[i].Delay = rat.Rat{}
+		if d, _ := sa.Delays.Lookup(e.Key); !d.Equal(e.Delay) {
+			t.Fatalf("writing the exported script changed the construction's script at %v", e.Key)
+		}
+		return
 	}
+	t.Fatal("no nonzero delay in the exported script to exercise the copy check")
 }
 
 // TestSeedFromUnscriptedConfig: a config whose adversary is not scripted

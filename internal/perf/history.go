@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"regexp"
 	"sort"
 )
 
@@ -87,15 +86,12 @@ func (h *History) Render() ([]byte, error) {
 }
 
 // EntryFromBench condenses parsed `go test -bench` output into one history
-// entry: per benchmark (filtered by match, nil = all), the median ns/op and
-// allocs/op across its -count repetitions — the same aggregation the perf
-// gate applies, so the curve and the gate agree on every point.
-func EntryFromBench(lines map[string][]BenchLine, commit HistoryCommit, date int64, match *regexp.Regexp) HistoryEntry {
+// entry: per benchmark, the median ns/op and allocs/op across its -count
+// repetitions — the same aggregation the perf gate applies, so the curve
+// and the gate agree on every point.
+func EntryFromBench(lines map[string][]BenchLine, commit HistoryCommit, date int64) HistoryEntry {
 	names := make([]string, 0, len(lines))
 	for name := range lines {
-		if match != nil && !match.MatchString(name) {
-			continue
-		}
 		names = append(names, name)
 	}
 	sort.Strings(names)

@@ -1,7 +1,6 @@
 package perf
 
 import (
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -48,21 +47,21 @@ func TestEntryFromBenchMediansAndFilter(t *testing.T) {
 BenchmarkSearchPrefixCached-8  2  500000 ns/op  2000 allocs/op
 BenchmarkSearchPrefixCached-8  2  900000 ns/op  2000 allocs/op
 BenchmarkSearchPrefixCached-8  2  600000 ns/op  2000 allocs/op
-BenchmarkUngated-8             9  100 ns/op     10 allocs/op
+BenchmarkTracker-8             9  100 ns/op     10 allocs/op
 PASS
 `
 	lines, err := ParseBench(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := EntryFromBench(lines, HistoryCommit{ID: "abc"}, 42, regexp.MustCompile("SearchPrefixCached"))
+	e := EntryFromBench(lines, HistoryCommit{ID: "abc"}, 42)
 	if e.Date != 42 || e.Tool != "go" {
 		t.Fatalf("bad entry header: %+v", e)
 	}
-	if len(e.Benches) != 2 {
-		t.Fatalf("got %d figures, want ns + allocs for the one matching benchmark: %+v", len(e.Benches), e.Benches)
+	if len(e.Benches) != 4 {
+		t.Fatalf("got %d figures, want ns + allocs for both benchmarks, none filtered: %+v", len(e.Benches), e.Benches)
 	}
-	for _, b := range e.Benches {
+	for _, b := range e.Benches[:2] {
 		switch b.Unit {
 		case "ns/op":
 			if b.Value != 600000 {
@@ -78,5 +77,8 @@ PASS
 		if b.Extra != "3 reps" {
 			t.Fatalf("extra = %q, want rep count", b.Extra)
 		}
+	}
+	if b := e.Benches[2]; !strings.Contains(b.Name, "Tracker") || b.Value != 100 {
+		t.Fatalf("second benchmark figure: %+v", b)
 	}
 }

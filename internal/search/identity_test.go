@@ -12,6 +12,7 @@ import (
 	"gcs/internal/engine"
 	"gcs/internal/network"
 	"gcs/internal/rat"
+	"gcs/internal/trace"
 )
 
 // key is the reference dedupe identity: rates, the sorted script entries,
@@ -22,8 +23,9 @@ func key(c candidate) string {
 	for i, r := range c.rates {
 		fmt.Fprintf(&b, "r%d=%s;", i, r.Key())
 	}
-	entries := make([]string, 0, len(c.script))
-	for _, e := range c.script {
+	script := c.delays()
+	entries := make([]string, 0, len(script))
+	for _, e := range script {
 		entries = append(entries, fmt.Sprintf("%d>%d#%d=%s", e.Key.From, e.Key.To, e.Key.Seq, e.Delay.Key()))
 	}
 	sort.Strings(entries)
@@ -213,8 +215,17 @@ func TestSeenSetForcedCollision(t *testing.T) {
 		t.Fatalf("want two distinct logs of at least 2 decisions, got %d", logA.Len())
 	}
 	decs := logA.Decisions()
-	edit := func(log *DecisionLog, idx int, v rat.Rat) engine.Script {
-		return log.Script().With(log.decisions[idx].Key, v)
+	// reedit is a delay mutant of c: c's script with message k's delay
+	// replaced by v, held as mutations holds it.
+	reedit := func(c candidate, k trace.MsgKey, v rat.Rat) candidate {
+		return candidate{script: c.delays(), edit: engine.ScriptEntry{Key: k, Delay: v}, rates: make([]rat.Rat, n)}
+	}
+	edit := func(log *DecisionLog, idx int, v rat.Rat) candidate {
+		return reedit(candidate{script: log.Script()}, log.decisions[idx].Key, v)
+	}
+	// copied is c with its edit applied to a copy of its script.
+	copied := func(c candidate) candidate {
+		return candidate{script: c.delays(), rates: c.rates}
 	}
 	other := func(idx int) rat.Rat { // a delay differing from the realized one
 		if decs[idx].Delay.IsZero() {
@@ -234,6 +245,11 @@ func TestSeenSetForcedCollision(t *testing.T) {
 		reversed.decisions[len(decs)-1-i] = d
 	}
 	truncated := &DecisionLog{decisions: decs[:len(decs)-1]}
+	// zeroKey is a hand-built script whose one entry has the zero key, the
+	// key that marks "no edit" on a candidate.
+	zeroKey := func(d rat.Rat) engine.Script {
+		return engine.Script{{Key: trace.MsgKey{}, Delay: d}}
+	}
 	unitScheds := func() []*clock.Schedule {
 		out := make([]*clock.Schedule, n)
 		for i := range out {
@@ -260,40 +276,64 @@ func TestSeenSetForcedCollision(t *testing.T) {
 			candidate{script: logA.Script(), rates: ratesWith(1, rat.MustFrac(3, 2))},
 			false},
 		{"same parent, different edited decision",
-			candidate{script: edit(logA, 0, other(0)), rates: make([]rat.Rat, n)},
-			candidate{script: edit(logA, 1, other(1)), rates: make([]rat.Rat, n)},
+			edit(logA, 0, other(0)),
+			edit(logA, 1, other(1)),
 			false},
 		{"same parent, same decision, different delay",
-			candidate{script: edit(logA, 0, decs[0].Bound.Mul(rat.MustFrac(1, 2))), rates: make([]rat.Rat, n)},
-			candidate{script: edit(logA, 0, other(0)), rates: make([]rat.Rat, n)},
+			edit(logA, 0, decs[0].Bound.Mul(rat.MustFrac(1, 2))),
+			edit(logA, 0, other(0)),
 			false},
 		{"same parent, same edit",
-			candidate{script: edit(logA, 1, other(1)), rates: make([]rat.Rat, n)},
-			candidate{script: edit(logA, 1, other(1)), rates: make([]rat.Rat, n)},
+			edit(logA, 1, other(1)),
+			edit(logA, 1, other(1)),
 			true},
 		{"same content from two parent logs",
 			candidate{script: logA.Script(), rates: make([]rat.Rat, n)},
 			candidate{script: logB.Script(), rates: make([]rat.Rat, n)},
 			true},
 		{"same edit from two parent logs",
-			candidate{script: edit(logA, 1, other(1)), rates: make([]rat.Rat, n)},
-			candidate{script: edit(logB, 1, other(1)), rates: make([]rat.Rat, n)},
+			edit(logA, 1, other(1)),
+			edit(logB, 1, other(1)),
 			true},
 		{"edited log vs the same entries through NewScript",
-			candidate{script: edit(logA, 0, other(0)), rates: make([]rat.Rat, n)},
-			candidate{script: newScript(t, edit(logB, 0, other(0))), rates: make([]rat.Rat, n)},
+			edit(logA, 0, other(0)),
+			candidate{script: newScript(t, edit(logB, 0, other(0)).delays()), rates: make([]rat.Rat, n)},
 			true},
 		{"same entries in another send order",
-			candidate{script: edit(logA, 0, other(0)), rates: make([]rat.Rat, n)},
-			candidate{script: edit(reversed, len(decs)-1, other(0)), rates: make([]rat.Rat, n)},
+			edit(logA, 0, other(0)),
+			edit(reversed, len(decs)-1, other(0)),
 			true},
 		{"one decision fewer",
 			candidate{script: logA.Script(), rates: make([]rat.Rat, n)},
 			candidate{script: truncated.Script(), rates: make([]rat.Rat, n)},
 			false},
+		{"edit vs its applied copy",
+			edit(logA, 1, other(1)),
+			copied(edit(logB, 1, other(1))),
+			true},
+		{"edits at two positions, same content",
+			reedit(edit(logA, 1, other(1)), decs[0].Key, other(0)),
+			reedit(edit(logB, 0, other(0)), decs[1].Key, other(1)),
+			true},
+		{"edits at two positions, same content, swapped",
+			reedit(edit(logB, 0, other(0)), decs[1].Key, other(1)),
+			reedit(edit(logA, 1, other(1)), decs[0].Key, other(0)),
+			true},
+		{"edits at two positions, one entry differs",
+			reedit(edit(logA, 1, other(1)), decs[0].Key, other(0)),
+			edit(logB, 1, other(1)),
+			false},
+		{"one decision more",
+			candidate{script: truncated.Script(), rates: make([]rat.Rat, n)},
+			candidate{script: logA.Script(), rates: make([]rat.Rat, n)},
+			false},
+		{"unedited scripts holding the zero key, different delays",
+			candidate{script: zeroKey(rat.FromInt(1)), rates: make([]rat.Rat, n)},
+			candidate{script: zeroKey(rat.FromInt(2)), rates: make([]rat.Rat, n)},
+			false},
 		{"edit vs unedited parent",
 			candidate{script: logA.Script(), rates: make([]rat.Rat, n)},
-			candidate{script: edit(logB, 0, other(0)), rates: make([]rat.Rat, n)},
+			edit(logB, 0, other(0)),
 			false},
 	}
 	for _, tc := range cases {

@@ -42,6 +42,7 @@ import (
 	"sort"
 	"sync"
 
+	"gcs/internal/clock"
 	"gcs/internal/core"
 	"gcs/internal/engine"
 )
@@ -88,15 +89,7 @@ func evalAll(opt Options, cands []candidate) ([]evaluation, uint64) {
 	trunkSteps := make([]uint64, len(order))
 	for gi, plog := range order {
 		gi, plog := gi, plog
-		idxs := append([]int(nil), groups[plog]...)
-		// Divergence order: the trunk only ever steps forward.
-		sort.Slice(idxs, func(a, b int) bool {
-			if cands[idxs[a]].divEvent != cands[idxs[b]].divEvent {
-				return cands[idxs[a]].divEvent < cands[idxs[b]].divEvent
-			}
-			return idxs[a] < idxs[b]
-		})
-		spawn(func() { trunkSteps[gi] = runTrunk(opt, cands, idxs, plog, results, spawn) })
+		spawn(func() { trunkSteps[gi] = runTrunk(opt, cands, groups[plog], plog, results, spawn) })
 	}
 	wg.Wait()
 
@@ -148,21 +141,7 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, res
 			results[i] = evaluation{cand: cands[i], err: err}
 		}
 	}
-	scheds := trunkScheds(opt, cands[idxs[0]])
-	skew, err := core.NewSkewTracker(opt.Net, scheds)
-	if err != nil {
-		failRest(err)
-		return 0
-	}
-	log := NewDecisionLog(opt.Net)
-	trunk, err := engine.New(opt.Net,
-		engine.WithProtocol(opt.Protocol),
-		engine.WithAdversary(engine.ScriptedAdversary{Delays: plog.Script(), Fallback: baseTail(opt)}),
-		engine.WithSchedules(scheds),
-		engine.WithRho(opt.Rho),
-		engine.WithObservers(skew, log),
-		engine.WithMetrics(opt.EngineMetrics),
-	)
+	trunk, skew, log, err := start(opt, plog.Script(), trunkScheds(opt, cands[idxs[0]]))
 	if err != nil {
 		failRest(err)
 		return 0
@@ -198,7 +177,7 @@ func runTrunk(opt Options, cands []candidate, idxs []int, plog *DecisionLog, res
 		if sc, ok := fork.Adversary().(engine.ScriptedAdversary); ok && sc.Fallback != nil {
 			tail = sc.Fallback
 		}
-		if err := fork.SetAdversary(engine.ScriptedAdversary{Delays: c.script, Fallback: tail}); err != nil {
+		if err := fork.SetAdversary(engine.ScriptedAdversary{Delays: c.delays(), Fallback: tail}); err != nil {
 			results[i] = evaluation{cand: c, err: err}
 			return
 		}
@@ -279,23 +258,28 @@ func finish(opt Options, cand candidate, eng *engine.Engine, skew *core.SkewTrac
 // evaluate re-simulates one candidate from scratch and reads the objective
 // off the online trackers.
 func evaluate(opt Options, cand candidate) evaluation {
-	scheds := effectiveScheds(opt, cand)
-	skew, err := core.NewSkewTracker(opt.Net, scheds)
+	eng, skew, log, err := start(opt, cand.delays(), effectiveScheds(opt, cand))
 	if err != nil {
 		return evaluation{cand: cand, err: err}
 	}
+	return finish(opt, cand, eng, skew, log, 0)
+}
+
+// start builds a run of opt's protocol replaying script over the base tail
+// under scheds, observed by a fresh skew tracker and decision log.
+func start(opt Options, script engine.Script, scheds []*clock.Schedule) (*engine.Engine, *core.SkewTracker, *DecisionLog, error) {
+	skew, err := core.NewSkewTracker(opt.Net, scheds)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	log := NewDecisionLog(opt.Net)
-	adv := engine.ScriptedAdversary{Delays: cand.script, Fallback: baseTail(opt)}
 	eng, err := engine.New(opt.Net,
 		engine.WithProtocol(opt.Protocol),
-		engine.WithAdversary(adv),
+		engine.WithAdversary(engine.ScriptedAdversary{Delays: script, Fallback: baseTail(opt)}),
 		engine.WithSchedules(scheds),
 		engine.WithRho(opt.Rho),
 		engine.WithObservers(skew, log),
 		engine.WithMetrics(opt.EngineMetrics),
 	)
-	if err != nil {
-		return evaluation{cand: cand, err: err}
-	}
-	return finish(opt, cand, eng, skew, log, 0)
+	return eng, skew, log, err
 }

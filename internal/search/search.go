@@ -67,7 +67,8 @@ type Seed struct {
 	// Name labels the seed in error messages.
 	Name string
 	// Script is the seed's delay script (an engine.Script, sorted by
-	// message key), replayed over the Base tail. It is shared, not copied.
+	// message key), replayed over the Base tail. It is shared, not copied,
+	// so its entries must not be written while the search runs.
 	Script engine.Script
 	// Schedules, when non-nil, replaces the base hardware schedules for this
 	// candidate (length must equal the node count). The constructions' rate
@@ -251,10 +252,13 @@ func (r *Result) ReplaySchedules(base []*clock.Schedule) []*clock.Schedule {
 // base schedule) and, for seeds and windowed mutants, a full schedule
 // override. id is the global discovery index, the deterministic tie-breaker;
 // hash is the identity hash the campaign dedupes on (see identity).
+// A delay mutant shares its parent's script and carries the entry it
+// replaces in edit (zero Key: none; no message goes from a node to itself).
 type candidate struct {
 	id     int
 	hash   uint64
 	script engine.Script
+	edit   engine.ScriptEntry
 	rates  []rat.Rat
 	scheds []*clock.Schedule // non-nil: full base-schedule override
 
@@ -280,19 +284,39 @@ type candidate struct {
 	divTime   rat.Rat
 }
 
+// delays returns the candidate's delay script, copying the shared script
+// only to apply an edit: a duplicate mutant and the seen set copy nothing.
+func (c candidate) delays() engine.Script {
+	if c.edit.Key == (trace.MsgKey{}) {
+		return c.script
+	}
+	return c.script.With(c.edit.Key, c.edit.Delay)
+}
+
+// edited returns entry i of s with edit e applied.
+func edited(s engine.Script, e engine.ScriptEntry, i int) engine.ScriptEntry {
+	if s[i].Key == e.Key && e.Key != (trace.MsgKey{}) {
+		return e
+	}
+	return s[i]
+}
+
 // identity is what deduplication compares: a candidate's script content,
 // its rates by position, and its schedule override, where no override is
 // distinct from an override equal to the base schedules.
 type identity struct {
 	script engine.Script
+	edit   engine.ScriptEntry
 	rates  []rat.Rat
 	scheds []*clock.Schedule
 }
 
 // equal compares two identities exactly. A present override has one
 // schedule per node, so the length check also keeps it apart from none.
+// Scripts compare entry by entry (as Script.Equal does) with each side's
+// edit applied, so neither is copied.
 func (a identity) equal(b identity) bool {
-	if len(a.rates) != len(b.rates) || len(a.scheds) != len(b.scheds) {
+	if len(a.rates) != len(b.rates) || len(a.scheds) != len(b.scheds) || len(a.script) != len(b.script) {
 		return false
 	}
 	for i := range a.rates {
@@ -305,7 +329,12 @@ func (a identity) equal(b identity) bool {
 			return false
 		}
 	}
-	return a.script.Equal(b.script)
+	for i := range a.script {
+		if !edited(a.script, a.edit, i).Equal(edited(b.script, b.edit, i)) {
+			return false
+		}
+	}
+	return true
 }
 
 // seenSet is a campaign's dedupe set: every candidate identity enumerated so
@@ -316,7 +345,7 @@ type seenSet map[uint64][]identity
 // add files c under hash h and reports whether it is new, that is, whether
 // no equal identity is filed under h yet.
 func (s seenSet) add(h uint64, c candidate) bool {
-	id := identity{script: c.script, rates: c.rates, scheds: schedOverride(c)}
+	id := identity{script: c.script, edit: c.edit, rates: c.rates, scheds: schedOverride(c)}
 	for _, o := range s[h] {
 		if o.equal(id) {
 			return false
@@ -392,7 +421,7 @@ func clocksHash(rates []rat.Rat, scheds []*clock.Schedule) uint64 {
 // hashOf computes a candidate's identity hash from scratch, in O(script).
 // mutations derives the same value incrementally from the parent's sum.
 func hashOf(c candidate) uint64 {
-	return fold(scriptHash(c.script), clocksHash(c.rates, schedOverride(c)))
+	return fold(scriptHash(c.delays()), clocksHash(c.rates, schedOverride(c)))
 }
 
 // evaluation is a candidate's simulated outcome.
@@ -579,7 +608,8 @@ var delaySnaps = []rat.Rat{{}, rat.MustFrac(1, 2), rat.FromInt(1)}
 //
 // Each mutant carries its identity hash. The parent's script sum costs one
 // pass over its script; a delay mutant's sum is that sum with one entry
-// swapped, and rate and window mutants share the parent's script unchanged.
+// swapped, and every mutant shares the parent's script: a delay mutant
+// carries its one replaced entry beside it.
 func mutations(opt Options, parent evaluation) []candidate {
 	var out []candidate
 
@@ -618,7 +648,8 @@ func mutations(opt Options, parent evaluation) []candidate {
 			}
 			out = append(out, candidate{
 				hash:   fold(sum-entryHash(d.Key, d.Delay)+entryHash(d.Key, v), clocks),
-				script: parentScript.With(d.Key, v),
+				script: parentScript,
+				edit:   engine.ScriptEntry{Key: d.Key, Delay: v},
 				rates:  parent.cand.rates,
 				scheds: parent.cand.scheds,
 				parent: parent.log,
